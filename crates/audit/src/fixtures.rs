@@ -50,6 +50,10 @@ pub const FIXTURES: &[Fixture] = &[
         text: include_str!("../fixtures/missing_safety.rs"),
     },
     Fixture {
+        name: "per_set_heap",
+        text: include_str!("../fixtures/per_set_heap.rs"),
+    },
+    Fixture {
         name: "reasoned_waiver",
         text: include_str!("../fixtures/reasoned_waiver.rs"),
     },

@@ -16,7 +16,7 @@
 //!   checked on a [`HierarchySnapshot`] after runs and at epoch
 //!   boundaries when `csalt-sim` is built with its `audit` feature.
 //!
-//! * **Source lints** (`CSALT-S000`–`S008`, [`srclint`]) — a hand-rolled
+//! * **Source lints** (`CSALT-S000`–`S009`, [`srclint`]) — a hand-rolled
 //!   lexical analysis over every `crates/*/src` file that enforces the
 //!   determinism contract at the source level: no hash-order iteration in
 //!   result-affecting crates, no wall-clock reads outside timing modules,

@@ -1,5 +1,5 @@
 //! Source-level determinism lints (`csalt-audit srclint`, rules
-//! `S000`–`S008`).
+//! `S000`–`S009`).
 //!
 //! The repo's value proposition is bit-identical reproduction, and the
 //! failure modes that silently break it are *source* patterns: a
@@ -19,6 +19,7 @@
 //! | S006 | no `f32` anywhere (f64-only policy where floats are legal) |
 //! | S007 | every `Release` store field has a matching `Acquire` load |
 //! | S008 | no `Relaxed` on manifest-listed publication fields |
+//! | S009 | no per-set heap containers in set-associative structures |
 //! | S000 | waiver hygiene (reasonless or stale `audit-waive` markers) |
 //!
 //! Scope comes from `crates/audit/srclint.manifest` (embedded at
@@ -88,6 +89,11 @@ pub fn srclint_rules() -> &'static [crate::Rule] {
             name: "no-relaxed-publication",
             summary: "Relaxed denied on manifest-listed publication fields",
         },
+        crate::Rule {
+            code: "S009",
+            name: "flat-slabs",
+            summary: "no Vec<Vec<..>>/Vec<Set*>-style per-set heap containers in set-associative structures",
+        },
     ]
 }
 
@@ -110,6 +116,8 @@ pub struct Manifest {
     pub atomics_scope: Vec<String>,
     /// S008: atomic field names that must never use `Relaxed`.
     pub relaxed_deny: Vec<String>,
+    /// S009 scope: path prefixes whose state must live in flat slabs.
+    pub slab_only: Vec<String>,
 }
 
 impl Manifest {
@@ -132,6 +140,7 @@ impl Manifest {
                 "float-deny" => m.float_deny.push(arg),
                 "atomics-scope" => m.atomics_scope.push(arg),
                 "relaxed-deny" => m.relaxed_deny.push(arg),
+                "slab-only" => m.slab_only.push(arg),
                 other => {
                     return Err(format!(
                         "manifest line {}: unknown directive {other:?}",
@@ -542,6 +551,7 @@ fn per_file_rules(fa: &FileAnalysis, m: &Manifest) -> Vec<SrcViolation> {
     let clock_denied = !under(path, &m.clock_allow);
     let no_unsafe = under(path, &m.no_unsafe);
     let float_denied = under(path, &m.float_deny);
+    let slab_only = under(path, &m.slab_only);
 
     for (i, t) in fa.tokens.iter().enumerate() {
         if fa.skip[i] {
@@ -616,6 +626,20 @@ fn per_file_rules(fa: &FileAnalysis, m: &Manifest) -> Vec<SrcViolation> {
                             "f32 is banned workspace-wide: accumulated single-precision \
                              rounding is platform/codegen-sensitive; use f64 or integers"
                                 .to_string(),
+                        ));
+                    }
+                }
+                "Vec" if slab_only => {
+                    if let Some(inner) = per_set_element(fa, i) {
+                        out.push(violation(
+                            "S009",
+                            fa,
+                            t.line,
+                            format!(
+                                "Vec<{inner}..> in a set-associative structure: one heap \
+                                 block per set costs a pointer chase per access; keep the \
+                                 state in one set-major slab indexed `set * ways + way`"
+                            ),
                         ));
                     }
                 }
@@ -722,6 +746,32 @@ fn ident_seq(fa: &FileAnalysis, i: usize, seq: &[&str]) -> bool {
         }
     }
     true
+}
+
+/// For a `Vec` at token `i`, the element type's name when it is a
+/// per-set heap container: another `Vec`, a `VecDeque`, a `Box`, or a
+/// `Set*` per-set record (like the replacement enum the slabs replaced).
+/// Path prefixes (`std::collections::`) are skipped.
+fn per_set_element(fa: &FileAnalysis, i: usize) -> Option<&str> {
+    let tok = |k: usize| fa.tokens.get(k).map(|t| &t.tok);
+    if tok(i + 1) != Some(&Tok::Punct('<')) {
+        return None;
+    }
+    let mut k = i + 2;
+    while matches!(tok(k), Some(Tok::Ident(_)))
+        && tok(k + 1) == Some(&Tok::Punct(':'))
+        && tok(k + 2) == Some(&Tok::Punct(':'))
+    {
+        k += 3;
+    }
+    match tok(k) {
+        Some(Tok::Ident(name))
+            if matches!(name.as_str(), "Vec" | "VecDeque" | "Box") || name.starts_with("Set") =>
+        {
+            Some(name.as_str())
+        }
+        _ => None,
+    }
 }
 
 /// Whether a `// SAFETY:` comment sits on `line` or within 3 lines
@@ -989,6 +1039,19 @@ mod tests {
         let s008: Vec<_> = v.iter().filter(|v| v.rule == "S008").collect();
         assert_eq!(s008.len(), 1, "{v:?}");
         assert!(s008[0].message.contains("`tail`"));
+    }
+
+    #[test]
+    fn per_set_containers_flagged_only_in_slab_scope() {
+        let nested = "struct P { shadow: [Vec<Vec<u64>>; 2] }\n";
+        assert_eq!(codes("crates/profiler/src/x.rs", nested), vec!["S009"]);
+        assert_eq!(codes("crates/sim/src/x.rs", nested), Vec::<&str>::new());
+        let records = "struct C { repl: Vec<SetReplacement> }\n";
+        assert_eq!(codes("crates/cache/src/x.rs", records), vec!["S009"]);
+        let pathed = "struct M { s: Vec<std::collections::VecDeque<u64>> }\n";
+        assert_eq!(codes("crates/tlb/src/x.rs", pathed), vec!["S009"]);
+        let flat = "struct F { stamps: Vec<u64>, kinds: Vec<EntryKind>, sets: Vec<u32> }\n";
+        assert_eq!(codes("crates/cache/src/x.rs", flat), Vec::<&str>::new());
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn every_fixture_trips_exactly_its_rules() {
 
 #[test]
 fn every_srclint_rule_has_a_fixture() {
-    // S000–S008 must each be exercised by at least one fixture so a
+    // S000–S009 must each be exercised by at least one fixture so a
     // regression that silences a rule entirely cannot pass CI.
     let exercised: Vec<String> = fixtures::check_all()
         .into_iter()

@@ -13,10 +13,10 @@
 //!   per-kind statistics are possible; in hardware this classification is
 //!   by address range and costs no metadata.
 
-use crate::replacement::{way_range_mask, SetReplacement, WayMask};
+use crate::replacement::{way_range_mask, ReplacementArray, WayMask};
 use csalt_types::{
     CkptError, CkptReader, CkptWriter, EntryKind, HitMissStats, L0Memo, L0Stats, LineAddr,
-    ReplacementKind,
+    LineSlab, ReplacementKind,
 };
 use serde::{Deserialize, Serialize};
 
@@ -140,7 +140,8 @@ const INVALID_TAG: u64 = u64::MAX;
 /// array (with [`INVALID_TAG`] marking empty ways) so the per-set way
 /// scan — the hottest loop in the simulator — compares one word per way;
 /// kind and dirty bits live in parallel arrays touched only on hits and
-/// fills.
+/// fills, and recency in one [`ReplacementArray`] slab indexed the same
+/// set-major way. No state is allocated per set.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: u64,
@@ -149,12 +150,13 @@ pub struct Cache {
     set_shift: u32,
     ways: u32,
     /// Tag per slot; [`INVALID_TAG`] marks an invalid way.
-    tags: Vec<u64>,
+    tags: LineSlab,
     /// Content classification per slot (garbage where invalid).
     kinds: Vec<EntryKind>,
     /// Dirty bit per slot (garbage where invalid).
     dirty: Vec<bool>,
-    repl: Vec<SetReplacement>,
+    /// Replacement state for every set (one set-major slab).
+    repl: ReplacementArray,
     /// `Some(n)` ⇒ ways `0..n` belong to data, `n..K` to TLB entries.
     data_ways: Option<u32>,
     stats: CacheStats,
@@ -180,12 +182,10 @@ impl Cache {
             sets,
             set_shift: sets.trailing_zeros(),
             ways,
-            tags: vec![INVALID_TAG; slots],
+            tags: LineSlab::new(slots, INVALID_TAG),
             kinds: vec![EntryKind::Data; slots],
             dirty: vec![false; slots],
-            repl: (0..sets)
-                .map(|_| SetReplacement::new(policy, ways))
-                .collect(),
+            repl: ReplacementArray::new(policy, sets as usize, ways),
             data_ways: None,
             stats: CacheStats::default(),
             l0: L0Memo::new(),
@@ -348,7 +348,7 @@ impl Cache {
         if let Some((set, way, ())) = self.l0.hit(line.line_number()) {
             let slot = self.slot(set, way);
             self.dirty[slot] |= write;
-            self.repl[set as usize].touch(way);
+            self.repl.touch(set as usize, way);
             self.kind_stats_mut(kind).record_hit();
             return AccessOutcome {
                 hit: true,
@@ -366,7 +366,7 @@ impl Cache {
         let set_tags = &self.tags[base..base + ways];
         if let Some(way) = set_tags.iter().position(|&t| t == tag) {
             self.dirty[base + way] |= write;
-            self.repl[set as usize].touch(way as u32);
+            self.repl.touch(set as usize, way as u32);
             self.kind_stats_mut(kind).record_hit();
             self.l0.remember(line.line_number(), set, way as u32, ());
             return AccessOutcome {
@@ -385,7 +385,7 @@ impl Cache {
         let (way, evicted) = match invalid_way {
             Some(w) => (w, None),
             None => {
-                let w = self.repl[set as usize].victim(mask);
+                let w = self.repl.victim(set as usize, mask);
                 let slot = self.slot(set, w);
                 let old_tag = self.tags[slot];
                 debug_assert!(old_tag != INVALID_TAG);
@@ -416,7 +416,8 @@ impl Cache {
         // Mru: make the fill most-recent (or RRIP's SRRIP long insert);
         // Lru: leave it the preferred victim (LIP/BIP; BRRIP for RRIP
         // storage).
-        self.repl[set as usize].on_fill(way, insert == InsertPos::Lru);
+        self.repl
+            .on_fill(set as usize, way, insert == InsertPos::Lru);
 
         AccessOutcome {
             hit: false,
@@ -470,7 +471,7 @@ impl Cache {
         let tag = self.tag(line);
         (0..self.ways)
             .find(|&w| self.tags[self.slot(set, w)] == tag)
-            .map(|w| self.repl[set as usize].stack_position(w))
+            .map(|w| self.repl.stack_position(set as usize, w))
     }
 
     #[inline]
@@ -483,7 +484,7 @@ impl Cache {
 
     /// Serializes the full result-affecting cache state: geometry guard
     /// words, tag/kind/dirty arrays, partition, per-kind statistics and
-    /// per-set replacement state. The L0 memo is *not* serialized (it
+    /// the replacement slab. The L0 memo is *not* serialized (it
     /// is a behaviour-invisible accelerator; restore invalidates it).
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.sets);
@@ -517,9 +518,7 @@ impl Cache {
         w.u64(self.stats.fills);
         w.u64(self.stats.evictions);
         w.u64(self.stats.writebacks);
-        for set in &self.repl {
-            set.ckpt_save(w);
-        }
+        self.repl.ckpt_save(w);
     }
 
     /// Restores state written by [`Cache::ckpt_save`] into this
@@ -541,7 +540,7 @@ impl Cache {
         if dirty.len() != self.dirty.len() {
             return Err(CkptError::Mismatch("cache dirty array length"));
         }
-        self.tags = tags;
+        self.tags.copy_from_slice(&tags);
         for (dst, &b) in self.kinds.iter_mut().zip(kinds.iter()) {
             *dst = match b {
                 0 => EntryKind::Data,
@@ -573,9 +572,7 @@ impl Cache {
         self.stats.fills = r.u64()?;
         self.stats.evictions = r.u64()?;
         self.stats.writebacks = r.u64()?;
-        for set in &mut self.repl {
-            set.ckpt_load(r)?;
-        }
+        self.repl.ckpt_load(r)?;
         self.l0.invalidate();
         Ok(())
     }

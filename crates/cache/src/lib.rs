@@ -6,9 +6,10 @@
 //!   lines carry the Data/TLB classification, with **way partitioning**
 //!   enforced at replacement time exactly as §3.1 specifies (lookups scan
 //!   all ways; fills evict only within the partition's way range).
-//! * [`SetReplacement`] — True-LRU, NRU and binary-tree pseudo-LRU
-//!   replacement with partition-restricted victim selection and LRU
-//!   stack-position estimation (§3.4).
+//! * [`ReplacementArray`] — True-LRU, NRU, binary-tree pseudo-LRU and
+//!   RRIP replacement for every set of an array, in flat set-major slabs,
+//!   with partition-restricted victim selection and LRU stack-position
+//!   estimation (§3.4).
 //! * [`DipController`] — the set-dueling Dynamic Insertion Policy baseline
 //!   the paper compares against (§5.2).
 //!
@@ -35,4 +36,4 @@ mod replacement;
 
 pub use cache::{AccessOutcome, Cache, CacheStats, Evicted, InsertPos, Occupancy};
 pub use dip::{DipController, DuelRole};
-pub use replacement::{way_range_mask, SetReplacement, WayMask};
+pub use replacement::{way_range_mask, ReplacementArray, WayMask};

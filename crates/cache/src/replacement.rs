@@ -1,4 +1,5 @@
-//! Per-set replacement state: True-LRU, NRU and binary-tree pseudo-LRU.
+//! Replacement state for a whole set-associative array — True-LRU, NRU,
+//! binary-tree pseudo-LRU and 2-bit RRIP — held in flat set-major slabs.
 //!
 //! CSALT's partitioning algorithms need two things from the replacement
 //! policy (§3.1, §3.4 of the paper):
@@ -10,10 +11,13 @@
 //!    for NRU and BT-PLRU the paper leverages Kędzierski et al. (IPDPS'10)
 //!    to estimate it, at a small accuracy cost.
 //!
-//! [`SetReplacement`] provides both operations behind one interface so the
-//! cache proper is policy-agnostic.
+//! [`ReplacementArray`] provides both operations for every set of one
+//! cache or TLB, so the array proper is policy-agnostic. Its state is one
+//! set-major slab per array, never an allocation per set; the policies
+//! are plain functions over one set's row or word.
 
-use csalt_types::{CkptError, CkptReader, CkptWriter, ReplacementKind};
+use csalt_types::{CkptError, CkptReader, CkptWriter, LineSlab, ReplacementKind};
+use std::ops::Range;
 
 /// Bitmask of candidate ways (bit *i* set ⇒ way *i* may be chosen).
 pub type WayMask = u64;
@@ -37,136 +41,93 @@ pub fn way_range_mask(lo: u32, hi: u32) -> WayMask {
     }
 }
 
-/// Replacement metadata for one cache set.
+/// Replacement metadata for every set of one `sets × ways` array, in one
+/// set-major slab whose meaning depends on the policy:
 ///
-/// All variants support the same three operations: [`touch`] (on hit or
-/// fill), [`victim`] (choose a way to evict from a candidate mask) and
-/// [`stack_position`] (exact or estimated LRU stack depth of a way).
+/// * **True-LRU** — `slab[set * ways + way]` is the way's last-touch
+///   stamp (larger = more recent); the victim is the minimum-stamp way.
+///   Stamps within a set are always distinct, so the order is total —
+///   identical semantics to an MRU list without moving elements. One
+///   clock serves the whole array because stamps are only ever compared
+///   within a set.
+/// * **NRU** — `slab[set]` holds one "not recently used" bit per way.
+/// * **BT-PLRU** — `slab[set]` holds the `ways - 1` internal-node bits of
+///   a heap-ordered tree (bit 1 = root); 0 points left (lower half).
+/// * **RRIP** — `slab[set * ways + way]` is the 2-bit re-reference
+///   prediction (Jaleel et al., ISCA'10): 0 = near-immediate, 3 =
+///   distant (victim). With set dueling over insertion depth this
+///   realizes DRRIP, a baseline of the paper's related work (§6).
 ///
-/// [`touch`]: SetReplacement::touch
-/// [`victim`]: SetReplacement::victim
-/// [`stack_position`]: SetReplacement::stack_position
+/// All policies support [`touch`] (on hit or fill), [`victim`] (choose a
+/// way to evict from a candidate mask) and [`stack_position`] (exact or
+/// estimated LRU stack depth of a way).
+///
+/// [`touch`]: ReplacementArray::touch
+/// [`victim`]: ReplacementArray::victim
+/// [`stack_position`]: ReplacementArray::stack_position
 #[derive(Debug, Clone)]
-pub enum SetReplacement {
-    /// Exact recency via monotonic stamps: a touch writes one stamp, the
-    /// victim is the minimum-stamp way. Stamps are always distinct, so
-    /// the order is total — identical semantics to an MRU list without
-    /// moving elements on every touch.
-    TrueLru {
-        /// Last-touch stamp per way; larger = more recent.
-        stamps: Vec<u64>,
-        /// Monotonic touch counter.
-        clock: u64,
-    },
-    /// One "not recently used" bit per way (1 = not recently used).
-    Nru {
-        /// NRU bits; bit *i* set means way *i* has not been used recently.
-        bits: WayMask,
-        /// Number of ways.
-        ways: u32,
-    },
-    /// Binary-tree pseudo-LRU. `tree` holds `ways - 1` internal-node bits
-    /// in heap order; a 0 bit points left (lower half), 1 points right.
-    BtPlru {
-        /// Internal-node direction bits, heap-ordered, bit 1 = root.
-        tree: u64,
-        /// Number of ways (must be a power of two).
-        ways: u32,
-    },
-    /// 2-bit Re-Reference Interval Prediction (Jaleel et al., ISCA'10).
-    /// RRPV 0 = near-immediate re-reference, 3 = distant (victim).
-    /// Combined with set dueling over insertion position this realizes
-    /// DRRIP, one of the replacement baselines the paper's related work
-    /// (§6) discusses.
-    Rrip {
-        /// Per-way 2-bit re-reference prediction values.
-        rrpv: Vec<u8>,
-    },
+pub struct ReplacementArray {
+    kind: ReplacementKind,
+    sets: usize,
+    ways: u32,
+    slab: LineSlab,
+    /// True-LRU touch counter (unused by the other policies).
+    clock: u64,
 }
 
-impl SetReplacement {
-    /// Creates fresh state for a `ways`-way set under the given policy.
+impl ReplacementArray {
+    /// Creates fresh state for `sets` sets of `ways` ways under the given
+    /// policy.
     ///
     /// # Panics
     ///
     /// Panics if `ways` is 0, exceeds 64, or (for BT-PLRU) is not a power
     /// of two.
-    pub fn new(kind: ReplacementKind, ways: u32) -> Self {
+    pub fn new(kind: ReplacementKind, sets: usize, ways: u32) -> Self {
         assert!((1..=64).contains(&ways), "ways must be in 1..=64");
-        match kind {
-            ReplacementKind::TrueLru => SetReplacement::TrueLru {
-                // Initial order: way 0 is MRU ... way K-1 is LRU; with an
-                // empty set, victims come from the high ways first.
-                stamps: (0..u64::from(ways)).rev().map(|s| s + 1).collect(),
-                clock: u64::from(ways),
-            },
-            ReplacementKind::Nru => SetReplacement::Nru {
-                bits: way_range_mask(0, ways),
-                ways,
-            },
-            ReplacementKind::BtPlru => {
-                assert!(
-                    ways.is_power_of_two(),
-                    "BT-PLRU requires power-of-two associativity"
-                );
-                SetReplacement::BtPlru { tree: 0, ways }
-            }
-            ReplacementKind::Rrip => SetReplacement::Rrip {
-                // Everything starts distant, so cold ways are victims.
-                rrpv: vec![3; ways as usize],
-            },
+        assert!(
+            kind != ReplacementKind::BtPlru || ways.is_power_of_two(),
+            "BT-PLRU requires power-of-two associativity"
+        );
+        let per_way = matches!(kind, ReplacementKind::TrueLru | ReplacementKind::Rrip);
+        let len = if per_way { sets * ways as usize } else { sets };
+        let mut slab = LineSlab::new(len, 0);
+        for (i, word) in slab.iter_mut().enumerate() {
+            *word = fresh_word(kind, ways, i);
+        }
+        Self {
+            kind,
+            sets,
+            ways,
+            slab,
+            clock: u64::from(ways),
         }
     }
 
-    /// Number of ways this state covers.
-    pub fn ways(&self) -> u32 {
-        match self {
-            SetReplacement::TrueLru { stamps, .. } => stamps.len() as u32,
-            SetReplacement::Nru { ways, .. } | SetReplacement::BtPlru { ways, .. } => *ways,
-            SetReplacement::Rrip { rrpv } => rrpv.len() as u32,
-        }
+    /// The slab range of `set`'s per-way row.
+    #[inline]
+    fn row(&self, set: usize) -> Range<usize> {
+        let w = self.ways as usize;
+        set * w..set * w + w
     }
 
-    /// Marks `way` most-recently-used (called on every hit and fill).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of range.
-    pub fn touch(&mut self, way: u32) {
-        assert!(way < self.ways(), "way {way} out of range");
-        match self {
-            SetReplacement::TrueLru { stamps, clock } => {
-                *clock += 1;
-                stamps[way as usize] = *clock;
+    /// Marks `way` of `set` most-recently-used (called on every hit and
+    /// fill).
+    #[inline]
+    pub fn touch(&mut self, set: usize, way: u32) {
+        debug_assert!(way < self.ways, "way {way} out of range");
+        match self.kind {
+            ReplacementKind::TrueLru => {
+                self.clock += 1;
+                let row = self.row(set);
+                self.slab[row][way as usize] = self.clock;
             }
-            SetReplacement::Nru { bits, ways } => {
-                *bits &= !(1u64 << way);
-                // When every way becomes recently-used, reset all other
-                // bits, keeping this way marked used (standard NRU).
-                if *bits == 0 {
-                    *bits = way_range_mask(0, *ways) & !(1u64 << way);
-                }
-            }
-            SetReplacement::BtPlru { tree, ways } => {
-                // Walk root → leaf, setting each node to point *away*
-                // from the touched way.
-                let levels = ways.trailing_zeros();
-                let mut node = 1u32; // heap index, root = 1
-                for level in (0..levels).rev() {
-                    let bit = (way >> level) & 1;
-                    // Point away: store the complement of the direction
-                    // taken.
-                    if bit == 0 {
-                        *tree |= 1u64 << node; // we went left; point right
-                    } else {
-                        *tree &= !(1u64 << node); // we went right; point left
-                    }
-                    node = node * 2 + bit;
-                }
-            }
-            SetReplacement::Rrip { rrpv } => {
-                // Hit promotion: predict near-immediate re-reference.
-                rrpv[way as usize] = 0;
+            ReplacementKind::Nru => nru_touch(&mut self.slab[set], self.ways, way),
+            ReplacementKind::BtPlru => plru_touch(&mut self.slab[set], self.ways, way),
+            // Hit promotion: predict near-immediate re-reference.
+            ReplacementKind::Rrip => {
+                let row = self.row(set);
+                self.slab[row][way as usize] = 0;
             }
         }
     }
@@ -176,20 +137,18 @@ impl SetReplacement {
     /// (victim) recency — the LIP/BIP realization — while a normal fill
     /// touches it to MRU. For RRIP storage, `distant` is BRRIP's RRPV-3
     /// insertion and normal is SRRIP's RRPV-2 long insertion.
-    pub fn on_fill(&mut self, way: u32, distant: bool) {
-        match self {
-            SetReplacement::Rrip { rrpv } => {
-                rrpv[way as usize] = if distant { 3 } else { 2 };
-            }
-            _ => {
-                if !distant {
-                    self.touch(way);
-                }
-            }
+    #[inline]
+    pub fn on_fill(&mut self, set: usize, way: u32, distant: bool) {
+        if self.kind == ReplacementKind::Rrip {
+            let row = self.row(set);
+            self.slab[row][way as usize] = if distant { RRPV_DISTANT } else { 2 };
+        } else if !distant {
+            self.touch(set, way);
         }
     }
 
-    /// Chooses the eviction victim among the ways allowed by `mask`.
+    /// Chooses the eviction victim in `set` among the ways allowed by
+    /// `mask`.
     ///
     /// For True-LRU this is the least-recently-used allowed way. For NRU,
     /// the lowest allowed way with its NRU bit set (resetting allowed bits
@@ -200,204 +159,223 @@ impl SetReplacement {
     /// # Panics
     ///
     /// Panics if `mask` selects no way within range.
-    pub fn victim(&mut self, mask: WayMask) -> u32 {
-        let full = way_range_mask(0, self.ways());
-        let mask = mask & full;
+    pub fn victim(&mut self, set: usize, mask: WayMask) -> u32 {
+        let ways = self.ways;
+        let mask = mask & way_range_mask(0, ways);
         assert!(mask != 0, "victim mask selects no way");
-        match self {
-            SetReplacement::TrueLru { stamps, .. } => stamps
-                .iter()
-                .enumerate()
-                .filter(|(w, _)| mask & (1u64 << w) != 0)
-                .min_by_key(|(_, &s)| s)
-                .map(|(w, _)| w as u32)
-                .expect("mask verified nonempty"),
-            SetReplacement::Nru { bits, .. } => {
-                if *bits & mask == 0 {
-                    // All allowed ways recently used: age them.
-                    *bits |= mask;
-                }
-                (*bits & mask).trailing_zeros()
-            }
-            SetReplacement::BtPlru { tree, ways } => {
-                let levels = ways.trailing_zeros();
-                let mut node = 1u32;
-                let mut way = 0u32;
-                for level in (0..levels).rev() {
-                    let point_right = (*tree >> node) & 1 == 1;
-                    let half = 1u32 << level;
-                    let left_mask = subtree_mask(way, half);
-                    let right_mask = subtree_mask(way + half, half);
-                    let go_right = if point_right {
-                        mask & right_mask != 0
-                    } else {
-                        // Pointed left, but only if an allowed way exists.
-                        mask & left_mask == 0
-                    };
-                    if go_right {
-                        way += half;
-                        node = node * 2 + 1;
-                    } else {
-                        node *= 2;
-                    }
-                }
-                debug_assert!(mask & (1u64 << way) != 0);
-                way
-            }
-            SetReplacement::Rrip { rrpv } => {
-                // Find the first allowed way predicted "distant" (RRPV
-                // 3); age the allowed ways until one appears.
-                loop {
-                    if let Some(w) = (0..rrpv.len() as u32)
-                        .find(|&w| mask & (1u64 << w) != 0 && rrpv[w as usize] >= 3)
-                    {
-                        return w;
-                    }
-                    for (w, v) in rrpv.iter_mut().enumerate() {
-                        if mask & (1u64 << w) != 0 {
-                            *v += 1;
-                        }
-                    }
-                }
-            }
+        let row = self.row(set);
+        match self.kind {
+            ReplacementKind::TrueLru => lru_victim(&self.slab[row], mask),
+            ReplacementKind::Nru => nru_victim(&mut self.slab[set], mask),
+            ReplacementKind::BtPlru => plru_victim(self.slab[set], ways, mask),
+            ReplacementKind::Rrip => rrip_victim(&mut self.slab[row], mask),
         }
     }
 
-    /// Exact (True-LRU) or estimated (NRU / BT-PLRU, per Kędzierski et
-    /// al.) LRU stack position of `way`; 0 is MRU, `ways-1` is LRU.
+    /// Exact (True-LRU) or estimated (NRU / BT-PLRU / RRIP, per
+    /// Kędzierski et al.) LRU stack position of `way` in `set`; 0 is
+    /// MRU, `ways-1` is LRU.
     ///
     /// # Panics
     ///
-    /// Panics if `way` is out of range.
-    pub fn stack_position(&self, way: u32) -> u32 {
-        assert!(way < self.ways(), "way {way} out of range");
-        match self {
-            SetReplacement::TrueLru { stamps, .. } => {
-                // Exact depth: the number of ways touched more recently.
-                let s = stamps[way as usize];
-                stamps.iter().filter(|&&o| o > s).count() as u32
-            }
-            SetReplacement::Nru { bits, ways } => {
-                // Recently-used ways are estimated to occupy the upper
-                // (MRU) half of the stack, others the lower half; within a
-                // half, order by way index for determinism.
-                let used_mask = way_range_mask(0, *ways) & !*bits;
-                let is_used = bits & (1u64 << way) == 0;
-                if is_used {
-                    rank_within(used_mask, way)
-                } else {
-                    used_mask.count_ones() + rank_within(*bits, way)
-                }
-            }
-            SetReplacement::BtPlru { tree, ways } => {
-                // Identifier-based estimate: each tree node on the path
-                // that points *away* from this way counts as evidence of
-                // recency; accumulate binary weights to place the way in
-                // the stack (Kędzierski et al. §IV-B).
-                let levels = ways.trailing_zeros();
-                let mut node = 1u32;
-                let mut position = 0u32;
-                for level in (0..levels).rev() {
-                    let bit = (way >> level) & 1;
-                    let points_right = (*tree >> node) & 1 == 1;
-                    // If the node points toward this way's half, the way
-                    // is closer to being the victim: add that level's
-                    // weight.
-                    let toward = (bit == 1) == points_right;
-                    if toward {
-                        position += 1u32 << level;
-                    }
-                    node = node * 2 + bit;
-                }
-                position
-            }
-            SetReplacement::Rrip { rrpv } => {
-                // Estimate: quarter of the stack per RRPV step, ranked
-                // by way index within a step for determinism.
-                let k = rrpv.len() as u32;
-                let v = u32::from(rrpv[way as usize]);
-                let rank = (0..way)
-                    .filter(|&w| u32::from(rrpv[w as usize]) == v)
-                    .count() as u32;
-                (v * k / 4 + rank).min(k - 1)
-            }
-        }
-    }
-    /// Serializes this set's replacement state: a one-byte variant tag
-    /// followed by the variant's fields, fixed-width.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        match self {
-            SetReplacement::TrueLru { stamps, clock } => {
-                w.u8(0);
-                w.slice_u64(stamps);
-                w.u64(*clock);
-            }
-            SetReplacement::Nru { bits, ways } => {
-                w.u8(1);
-                w.u64(*bits);
-                w.u32(*ways);
-            }
-            SetReplacement::BtPlru { tree, ways } => {
-                w.u8(2);
-                w.u64(*tree);
-                w.u32(*ways);
-            }
-            SetReplacement::Rrip { rrpv } => {
-                w.u8(3);
-                w.bytes(rrpv);
-            }
+    /// Panics if `set` or `way` is out of range.
+    pub fn stack_position(&self, set: usize, way: u32) -> u32 {
+        assert!(way < self.ways, "way {way} out of range");
+        let row = self.row(set);
+        match self.kind {
+            ReplacementKind::TrueLru => lru_position(&self.slab[row], way),
+            ReplacementKind::Nru => nru_position(self.slab[set], self.ways, way),
+            ReplacementKind::BtPlru => plru_position(self.slab[set], self.ways, way),
+            ReplacementKind::Rrip => rrip_position(&self.slab[row], way),
         }
     }
 
-    /// Restores state written by [`SetReplacement::ckpt_save`] into this
-    /// (config-constructed) instance. The stored variant and way count
-    /// must match the receiver's.
+    /// Serializes the array as one record: policy code and geometry as
+    /// guard words, the clock, then the slab as a single array with each
+    /// word XOR its fresh value, so never-touched sets serialize as zeros
+    /// and the sparse encoder collapses them.
+    pub fn ckpt_save(&self, w: &mut CkptWriter) {
+        w.u8(self.kind as u8);
+        w.len64(self.sets);
+        w.u32(self.ways);
+        w.u64(self.clock);
+        let fresh = (0..self.slab.len()).map(|i| fresh_word(self.kind, self.ways, i));
+        w.iter_u64(
+            self.slab.len(),
+            self.slab.iter().zip(fresh).map(|(s, f)| s ^ f),
+        );
+    }
+
+    /// Restores state written by [`ReplacementArray::ckpt_save`] into
+    /// this (config-constructed) array. The stored policy and geometry
+    /// must match the receiver's, and every word must be one the policy
+    /// can reach (stamps not ahead of the clock, bits within the ways,
+    /// RRPVs at most 3).
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let tag = r.u8()?;
-        match (tag, &mut *self) {
-            (0, SetReplacement::TrueLru { stamps, clock }) => {
-                let got = r.vec_u64()?;
-                if got.len() != stamps.len() {
-                    return Err(CkptError::Mismatch("true-lru way count"));
-                }
-                *stamps = got;
-                *clock = r.u64()?;
-            }
-            (1, SetReplacement::Nru { bits, ways }) => {
-                let b = r.u64()?;
-                let k = r.u32()?;
-                if k != *ways {
-                    return Err(CkptError::Mismatch("nru way count"));
-                }
-                *bits = b;
-                *ways = k;
-            }
-            (2, SetReplacement::BtPlru { tree, ways }) => {
-                let t = r.u64()?;
-                let k = r.u32()?;
-                if k != *ways {
-                    return Err(CkptError::Mismatch("bt-plru way count"));
-                }
-                *tree = t;
-                *ways = k;
-            }
-            (3, SetReplacement::Rrip { rrpv }) => {
-                let got = r.bytes()?;
-                if got.len() != rrpv.len() {
-                    return Err(CkptError::Mismatch("rrip way count"));
-                }
-                rrpv.copy_from_slice(got);
-            }
-            _ => return Err(CkptError::Mismatch("replacement policy variant")),
+        if r.u8()? != self.kind as u8 || r.len64()? != self.sets || r.u32()? != self.ways {
+            return Err(CkptError::Mismatch("replacement policy or geometry"));
         }
+        let clock = r.u64()?;
+        let words = r.vec_u64()?;
+        if words.len() != self.slab.len() {
+            return Err(CkptError::Mismatch("replacement slab length"));
+        }
+        let limit = match self.kind {
+            ReplacementKind::TrueLru => clock,
+            ReplacementKind::Nru | ReplacementKind::BtPlru => way_range_mask(0, self.ways),
+            ReplacementKind::Rrip => RRPV_DISTANT,
+        };
+        for (i, x) in words.into_iter().enumerate() {
+            let v = x ^ fresh_word(self.kind, self.ways, i);
+            if v > limit {
+                return Err(CkptError::Corrupt("replacement state out of range"));
+            }
+            self.slab[i] = v;
+        }
+        self.clock = clock;
         Ok(())
     }
 }
 
-/// Mask covering `count` ways starting at `start`.
+/// RRPV of a way predicted to be re-referenced in the distant future.
+const RRPV_DISTANT: u64 = 3;
+
+/// The value slab word `i` holds in a fresh array: True-LRU orders way 0
+/// MRU ... way K-1 LRU (so an empty set's victims come from the high ways
+/// first), NRU marks every way unused, RRIP every way distant.
+fn fresh_word(kind: ReplacementKind, ways: u32, i: usize) -> u64 {
+    match kind {
+        ReplacementKind::TrueLru => u64::from(ways) - (i % ways as usize) as u64,
+        ReplacementKind::Nru => way_range_mask(0, ways),
+        ReplacementKind::BtPlru => 0,
+        ReplacementKind::Rrip => RRPV_DISTANT,
+    }
+}
+
+/// True-LRU victim: the allowed way with the smallest stamp.
 #[inline]
-fn subtree_mask(start: u32, count: u32) -> WayMask {
-    way_range_mask(start, start + count)
+fn lru_victim(stamps: &[u64], mask: WayMask) -> u32 {
+    let mut best = (u64::MAX, 0u32);
+    for (w, &s) in stamps.iter().enumerate() {
+        if mask & (1u64 << w) != 0 && s < best.0 {
+            best = (s, w as u32);
+        }
+    }
+    best.1
+}
+
+/// Exact True-LRU depth: the number of ways touched more recently.
+fn lru_position(stamps: &[u64], way: u32) -> u32 {
+    let s = stamps[way as usize];
+    stamps.iter().filter(|&&o| o > s).count() as u32
+}
+
+/// NRU touch: clear the way's bit. When every way becomes recently-used,
+/// reset all other bits, keeping this way marked used (standard NRU).
+#[inline]
+fn nru_touch(bits: &mut u64, ways: u32, way: u32) {
+    *bits &= !(1u64 << way);
+    if *bits == 0 {
+        *bits = way_range_mask(0, ways) & !(1u64 << way);
+    }
+}
+
+/// NRU victim: the lowest allowed not-recently-used way, after aging the
+/// allowed ways if all of them are marked used.
+fn nru_victim(bits: &mut u64, mask: WayMask) -> u32 {
+    if *bits & mask == 0 {
+        *bits |= mask;
+    }
+    (*bits & mask).trailing_zeros()
+}
+
+/// NRU estimate: recently-used ways occupy the upper (MRU) part of the
+/// stack, others the lower part; within a part, by way index.
+fn nru_position(bits: u64, ways: u32, way: u32) -> u32 {
+    let used_mask = way_range_mask(0, ways) & !bits;
+    if bits & (1u64 << way) == 0 {
+        rank_within(used_mask, way)
+    } else {
+        used_mask.count_ones() + rank_within(bits, way)
+    }
+}
+
+/// BT-PLRU touch: walk root → leaf, pointing each node *away* from the
+/// touched way.
+#[inline]
+fn plru_touch(tree: &mut u64, ways: u32, way: u32) {
+    let mut node = 1u32; // heap index, root = 1
+    for level in (0..ways.trailing_zeros()).rev() {
+        let bit = (way >> level) & 1;
+        if bit == 0 {
+            *tree |= 1u64 << node; // we went left; point right
+        } else {
+            *tree &= !(1u64 << node); // we went right; point left
+        }
+        node = node * 2 + bit;
+    }
+}
+
+/// BT-PLRU victim: follow the pointers, but only into a half that still
+/// holds an allowed way.
+fn plru_victim(tree: u64, ways: u32, mask: WayMask) -> u32 {
+    let mut node = 1u32;
+    let mut way = 0u32;
+    for level in (0..ways.trailing_zeros()).rev() {
+        let half = 1u32 << level;
+        let go_right = if (tree >> node) & 1 == 1 {
+            mask & way_range_mask(way + half, way + 2 * half) != 0
+        } else {
+            mask & way_range_mask(way, way + half) == 0
+        };
+        if go_right {
+            way += half;
+            node = node * 2 + 1;
+        } else {
+            node *= 2;
+        }
+    }
+    debug_assert!(mask & (1u64 << way) != 0);
+    way
+}
+
+/// BT-PLRU identifier-based estimate: each path node pointing *toward*
+/// the way adds that level's binary weight (Kędzierski et al. §IV-B).
+fn plru_position(tree: u64, ways: u32, way: u32) -> u32 {
+    let mut node = 1u32;
+    let mut position = 0u32;
+    for level in (0..ways.trailing_zeros()).rev() {
+        let bit = (way >> level) & 1;
+        if (bit == 1) == ((tree >> node) & 1 == 1) {
+            position += 1u32 << level;
+        }
+        node = node * 2 + bit;
+    }
+    position
+}
+
+/// RRIP victim: the first allowed way predicted distant; age the allowed
+/// ways until one appears.
+fn rrip_victim(rrpv: &mut [u64], mask: WayMask) -> u32 {
+    loop {
+        if let Some(w) = (0..rrpv.len()).find(|&w| mask & (1u64 << w) != 0 && rrpv[w] >= 3) {
+            return w as u32;
+        }
+        for (w, v) in rrpv.iter_mut().enumerate() {
+            if mask & (1u64 << w) != 0 {
+                *v += 1;
+            }
+        }
+    }
+}
+
+/// RRIP estimate: a quarter of the stack per RRPV step, ranked by way
+/// index within a step.
+fn rrip_position(rrpv: &[u64], way: u32) -> u32 {
+    let k = rrpv.len() as u32;
+    let v = rrpv[way as usize];
+    let rank = rrpv[..way as usize].iter().filter(|&&o| o == v).count() as u32;
+    (v as u32 * k / 4 + rank).min(k - 1)
 }
 
 /// Rank (0-based) of `way` among the set bits of `mask`.
@@ -409,6 +387,11 @@ fn rank_within(mask: WayMask, way: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A one-set array, for the single-set behaviour tests.
+    fn one(kind: ReplacementKind, ways: u32) -> ReplacementArray {
+        ReplacementArray::new(kind, 1, ways)
+    }
 
     #[test]
     fn way_range_mask_basics() {
@@ -426,108 +409,133 @@ mod tests {
 
     #[test]
     fn true_lru_exact_order() {
-        let mut r = SetReplacement::new(ReplacementKind::TrueLru, 4);
-        r.touch(2); // order: 2 0 1 3
-        r.touch(1); // order: 1 2 0 3
-        assert_eq!(r.stack_position(1), 0);
-        assert_eq!(r.stack_position(2), 1);
-        assert_eq!(r.stack_position(0), 2);
-        assert_eq!(r.stack_position(3), 3);
-        assert_eq!(r.victim(way_range_mask(0, 4)), 3);
+        let mut r = one(ReplacementKind::TrueLru, 4);
+        r.touch(0, 2); // order: 2 0 1 3
+        r.touch(0, 1); // order: 1 2 0 3
+        assert_eq!(r.stack_position(0, 1), 0);
+        assert_eq!(r.stack_position(0, 2), 1);
+        assert_eq!(r.stack_position(0, 0), 2);
+        assert_eq!(r.stack_position(0, 3), 3);
+        assert_eq!(r.victim(0, way_range_mask(0, 4)), 3);
         // Restricted to ways {0,1}: LRU among them is 0.
-        assert_eq!(r.victim(0b0011), 0);
+        assert_eq!(r.victim(0, 0b0011), 0);
     }
 
     #[test]
     fn true_lru_victim_respects_partition() {
-        let mut r = SetReplacement::new(ReplacementKind::TrueLru, 8);
+        let mut r = one(ReplacementKind::TrueLru, 8);
         for w in [7, 6, 5, 4, 3, 2, 1, 0] {
-            r.touch(w); // 0 is now MRU, 7 LRU
+            r.touch(0, w); // 0 is now MRU, 7 LRU
         }
         // Only ways 0..4 allowed: victim must be way 3 (the LRU of those).
-        assert_eq!(r.victim(way_range_mask(0, 4)), 3);
+        assert_eq!(r.victim(0, way_range_mask(0, 4)), 3);
         // Only ways 4..8 allowed: victim must be way 7.
-        assert_eq!(r.victim(way_range_mask(4, 8)), 7);
+        assert_eq!(r.victim(0, way_range_mask(4, 8)), 7);
+    }
+
+    #[test]
+    fn sets_are_independent_under_one_clock() {
+        for kind in [
+            ReplacementKind::TrueLru,
+            ReplacementKind::Nru,
+            ReplacementKind::BtPlru,
+            ReplacementKind::Rrip,
+        ] {
+            let mut r = ReplacementArray::new(kind, 3, 4);
+            let fresh = ReplacementArray::new(kind, 3, 4);
+            for w in [3, 1, 2, 0, 3] {
+                r.touch(1, w);
+            }
+            for set in [0, 2] {
+                for w in 0..4 {
+                    assert_eq!(
+                        r.stack_position(set, w),
+                        fresh.stack_position(set, w),
+                        "{kind:?}: touching set 1 moved set {set}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn nru_victims_prefer_unused() {
-        let mut r = SetReplacement::new(ReplacementKind::Nru, 4);
-        r.touch(0);
-        r.touch(1);
+        let mut r = one(ReplacementKind::Nru, 4);
+        r.touch(0, 0);
+        r.touch(0, 1);
         // Ways 2,3 still "not recently used".
-        assert_eq!(r.victim(way_range_mask(0, 4)), 2);
-        r.touch(2);
-        r.touch(3); // all used → internal reset keeps 3 used
-        let v = r.victim(way_range_mask(0, 4));
+        assert_eq!(r.victim(0, way_range_mask(0, 4)), 2);
+        r.touch(0, 2);
+        r.touch(0, 3); // all used → internal reset keeps 3 used
+        let v = r.victim(0, way_range_mask(0, 4));
         assert_ne!(v, 3, "most recent way should not be the victim");
     }
 
     #[test]
     fn nru_partition_local_reset() {
-        let mut r = SetReplacement::new(ReplacementKind::Nru, 4);
+        let mut r = one(ReplacementKind::Nru, 4);
         for w in 0..4 {
-            r.touch(w);
+            r.touch(0, w);
         }
         // After global use, restricting to {0,1} must still yield a victim.
-        let v = r.victim(0b0011);
+        let v = r.victim(0, 0b0011);
         assert!(v < 2);
     }
 
     #[test]
     fn nru_stack_positions_rank_used_before_unused() {
-        let mut r = SetReplacement::new(ReplacementKind::Nru, 4);
-        r.touch(3);
+        let mut r = one(ReplacementKind::Nru, 4);
+        r.touch(0, 3);
         // Used way 3 must rank above (closer to MRU than) unused ways.
-        let p3 = r.stack_position(3);
+        let p3 = r.stack_position(0, 3);
         for w in 0..3 {
-            assert!(p3 < r.stack_position(w));
+            assert!(p3 < r.stack_position(0, w));
         }
     }
 
     #[test]
     fn btplru_touch_protects_way() {
-        let mut r = SetReplacement::new(ReplacementKind::BtPlru, 8);
-        r.touch(5);
-        let v = r.victim(way_range_mask(0, 8));
+        let mut r = one(ReplacementKind::BtPlru, 8);
+        r.touch(0, 5);
+        let v = r.victim(0, way_range_mask(0, 8));
         assert_ne!(v, 5, "just-touched way must not be the victim");
     }
 
     #[test]
     fn btplru_victim_respects_partition() {
-        let mut r = SetReplacement::new(ReplacementKind::BtPlru, 8);
+        let mut r = one(ReplacementKind::BtPlru, 8);
         for w in 0..8 {
-            r.touch(w);
+            r.touch(0, w);
         }
         for _ in 0..16 {
-            let v = r.victim(way_range_mask(0, 3));
+            let v = r.victim(0, way_range_mask(0, 3));
             assert!(v < 3, "victim {v} escaped partition");
-            r.touch(v);
+            r.touch(0, v);
         }
     }
 
     #[test]
     fn btplru_stack_position_monotone_for_fresh_touch() {
-        let mut r = SetReplacement::new(ReplacementKind::BtPlru, 8);
-        r.touch(4);
-        assert_eq!(r.stack_position(4), 0, "touched way estimated MRU");
+        let mut r = one(ReplacementKind::BtPlru, 8);
+        r.touch(0, 4);
+        assert_eq!(r.stack_position(0, 4), 0, "touched way estimated MRU");
         // The PLRU victim should have the maximal estimate.
-        let v = r.victim(way_range_mask(0, 8));
-        let pv = r.stack_position(v);
+        let v = r.victim(0, way_range_mask(0, 8));
+        let pv = r.stack_position(0, v);
         for w in 0..8 {
-            assert!(r.stack_position(w) <= pv);
+            assert!(r.stack_position(0, w) <= pv);
         }
     }
 
     #[test]
     fn victim_cycle_covers_all_ways_true_lru() {
         // Repeatedly evicting + touching the victim must cycle fairly.
-        let mut r = SetReplacement::new(ReplacementKind::TrueLru, 4);
-        let mut seen = std::collections::HashSet::new();
+        let mut r = one(ReplacementKind::TrueLru, 4);
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..4 {
-            let v = r.victim(way_range_mask(0, 4));
+            let v = r.victim(0, way_range_mask(0, 4));
             seen.insert(v);
-            r.touch(v);
+            r.touch(0, v);
         }
         assert_eq!(seen.len(), 4);
     }
@@ -535,74 +543,97 @@ mod tests {
     #[test]
     #[should_panic(expected = "victim mask selects no way")]
     fn empty_mask_panics() {
-        let mut r = SetReplacement::new(ReplacementKind::TrueLru, 4);
-        r.victim(0);
+        let mut r = one(ReplacementKind::TrueLru, 4);
+        r.victim(0, 0);
     }
 
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn btplru_rejects_non_power_of_two() {
-        SetReplacement::new(ReplacementKind::BtPlru, 12);
+        one(ReplacementKind::BtPlru, 12);
     }
 
     #[test]
     fn rrip_victims_prefer_distant_ways() {
-        let mut r = SetReplacement::new(ReplacementKind::Rrip, 4);
+        let mut r = one(ReplacementKind::Rrip, 4);
         // Fill all 4 ways with long (SRRIP) insertions.
         for w in 0..4 {
-            let v = r.victim(way_range_mask(0, 4));
+            let v = r.victim(0, way_range_mask(0, 4));
             assert_eq!(v, w, "cold fill takes ways in order");
-            r.on_fill(v, false);
+            r.on_fill(0, v, false);
         }
         // Touch way 1: it becomes near-immediate.
-        r.touch(1);
+        r.touch(0, 1);
         // Aging must find a victim and it must not be way 1.
-        let v = r.victim(way_range_mask(0, 4));
+        let v = r.victim(0, way_range_mask(0, 4));
         assert_ne!(v, 1);
     }
 
     #[test]
     fn rrip_distant_insertion_is_next_victim() {
-        let mut r = SetReplacement::new(ReplacementKind::Rrip, 4);
+        let mut r = one(ReplacementKind::Rrip, 4);
         for w in 0..4 {
-            r.on_fill(w, false); // RRPV 2
+            r.on_fill(0, w, false); // RRPV 2
         }
-        r.on_fill(2, true); // BRRIP distant insert at way 2
-        assert_eq!(r.victim(way_range_mask(0, 4)), 2);
+        r.on_fill(0, 2, true); // BRRIP distant insert at way 2
+        assert_eq!(r.victim(0, way_range_mask(0, 4)), 2);
     }
 
     #[test]
     fn rrip_respects_partition_mask() {
-        let mut r = SetReplacement::new(ReplacementKind::Rrip, 8);
+        let mut r = one(ReplacementKind::Rrip, 8);
         for w in 0..8 {
-            r.on_fill(w, false);
-            r.touch(w); // everything near-immediate
+            r.on_fill(0, w, false);
+            r.touch(0, w); // everything near-immediate
         }
         for _ in 0..16 {
-            let v = r.victim(way_range_mask(2, 5));
+            let v = r.victim(0, way_range_mask(2, 5));
             assert!((2..5).contains(&v), "victim {v} escaped mask");
-            r.touch(v);
+            r.touch(0, v);
         }
     }
 
     #[test]
     fn rrip_stack_positions_rank_by_rrpv() {
-        let mut r = SetReplacement::new(ReplacementKind::Rrip, 8);
+        let mut r = one(ReplacementKind::Rrip, 8);
         for w in 0..8 {
-            r.on_fill(w, false);
+            r.on_fill(0, w, false);
         }
-        r.touch(3); // RRPV 0 → most recent
-        assert!(r.stack_position(3) < r.stack_position(0));
+        r.touch(0, 3); // RRPV 0 → most recent
+        assert!(r.stack_position(0, 3) < r.stack_position(0, 0));
     }
 
     #[test]
     fn twelve_way_nru_works() {
         // The paper's L2 TLB is 12-way; NRU must handle non-power-of-two.
-        let mut r = SetReplacement::new(ReplacementKind::Nru, 12);
+        let mut r = one(ReplacementKind::Nru, 12);
         for w in 0..12 {
-            r.touch(w);
+            r.touch(0, w);
         }
-        let v = r.victim(way_range_mask(0, 12));
+        let v = r.victim(0, way_range_mask(0, 12));
         assert!(v < 12);
+    }
+
+    #[test]
+    fn untouched_arrays_checkpoint_as_zeros() {
+        for kind in [
+            ReplacementKind::TrueLru,
+            ReplacementKind::Nru,
+            ReplacementKind::BtPlru,
+            ReplacementKind::Rrip,
+        ] {
+            let mut w = CkptWriter::new();
+            ReplacementArray::new(kind, 256, 8).ckpt_save(&mut w);
+            // The same record with an all-zero slab: no word is present.
+            let per_way = matches!(kind, ReplacementKind::TrueLru | ReplacementKind::Rrip);
+            let n = if per_way { 256 * 8 } else { 256 };
+            let mut z = CkptWriter::new();
+            z.u8(0);
+            z.len64(0);
+            z.u32(0);
+            z.u64(0);
+            z.iter_u64(n, std::iter::repeat_n(0, n));
+            assert_eq!(w.finish("fp").len(), z.finish("fp").len(), "{kind:?}");
+        }
     }
 }

@@ -10,9 +10,12 @@
 //! `counter[0] + … + counter[n-1]`.
 //!
 //! The shadow directory can sample every `interval`-th set to bound cost,
-//! exactly like hardware auxiliary tag directories.
+//! exactly like hardware auxiliary tag directories. Each kind's directory
+//! is one flat `sampled_sets × ways` tag slab plus a per-set depth, so
+//! recording an access touches one contiguous row, never a per-set heap
+//! block.
 
-use csalt_types::{CkptError, CkptReader, CkptWriter, EntryKind};
+use csalt_types::{CkptError, CkptReader, CkptWriter, EntryKind, LineSlab};
 use serde::{Deserialize, Serialize};
 
 /// Stack-distance profiler for one cache: two shadow LRU tag directories
@@ -22,8 +25,12 @@ pub struct StackDistanceProfiler {
     ways: u32,
     sets: u64,
     interval: u64,
-    /// Shadow tags: `shadow[kind][sampled_set]` is an MRU-first tag list.
-    shadow: [Vec<Vec<u64>>; 2],
+    /// Shadow tags: `tags[kind][sampled_set * ways + i]` is the tag at
+    /// stack depth `i` (MRU first). Slots at or past the set's depth are
+    /// never written and stay zero.
+    tags: [LineSlab; 2],
+    /// `depth[kind][sampled_set]`: valid entries in that stack.
+    depth: [Vec<u64>; 2],
     counters: [Vec<u64>; 2],
 }
 
@@ -96,7 +103,8 @@ impl StackDistanceProfiler {
             ways,
             sets,
             interval,
-            shadow: [vec![Vec::new(); sampled], vec![Vec::new(); sampled]],
+            tags: [0, 1].map(|_| LineSlab::new(sampled * ways as usize, 0)),
+            depth: [0, 1].map(|_| vec![0; sampled]),
             counters: [vec![0; ways as usize + 1], vec![0; ways as usize + 1]],
         }
     }
@@ -124,22 +132,23 @@ impl StackDistanceProfiler {
             }
             (set / self.interval) as usize
         };
-        let stack = &mut self.shadow[kind.index()][idx];
-        let depth = match stack.iter().position(|&t| t == tag) {
+        let k = kind.index();
+        let w = self.ways as usize;
+        let stack = &mut self.tags[k][idx * w..idx * w + w];
+        let len = &mut self.depth[k][idx];
+        let d = *len as usize;
+        let depth = match stack[..d].iter().position(|&t| t == tag) {
             Some(pos) => {
                 // Move-to-front as one rotation instead of remove+insert.
                 stack[..=pos].rotate_right(1);
                 pos as u32
             }
             None => {
-                if stack.len() >= self.ways as usize {
-                    // Full stack: the rotated-in last element is the LRU
-                    // casualty; overwrite it with the new MRU tag.
-                    stack.rotate_right(1);
-                    stack[0] = tag;
-                } else {
-                    stack.insert(0, tag);
-                }
+                // Push on top: the first empty slot — or, in a full stack,
+                // the LRU casualty — rotates to the front.
+                stack[..=d.min(w - 1)].rotate_right(1);
+                stack[0] = tag;
+                *len = (d + 1).min(w) as u64;
                 self.ways
             }
         };
@@ -174,18 +183,16 @@ impl StackDistanceProfiler {
         }
     }
 
-    /// Serializes the shadow tag directories and stack counters, with
-    /// the profiled geometry as guard words.
+    /// Serializes the shadow directories (each kind's depth array and
+    /// tag slab as one array apiece) and stack counters, with the
+    /// profiled geometry as guard words.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u32(self.ways);
         w.u64(self.sets);
         w.u64(self.interval);
-        for kind in &self.shadow {
-            w.len64(kind.len());
-            for stack in kind {
-                w.len64(stack.len());
-                w.slice_u64(stack);
-            }
+        for (depth, tags) in self.depth.iter().zip(&self.tags) {
+            w.slice_u64(depth);
+            w.slice_u64(tags);
         }
         for counters in &self.counters {
             w.slice_u64(counters);
@@ -193,26 +200,25 @@ impl StackDistanceProfiler {
     }
 
     /// Restores state written by [`StackDistanceProfiler::ckpt_save`];
-    /// geometry must match this profiler's.
+    /// geometry must match this profiler's, no stack may be deeper than
+    /// the ways, and slots past a stack's depth must be empty.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u32()? != self.ways || r.u64()? != self.sets || r.u64()? != self.interval {
             return Err(CkptError::Mismatch("stack profiler geometry"));
         }
-        for kind in &mut self.shadow {
-            if r.len64()? != kind.len() {
+        let w = self.ways as usize;
+        for (depth, tags) in self.depth.iter_mut().zip(&mut self.tags) {
+            let (got_depth, got_tags) = (r.vec_u64()?, r.vec_u64()?);
+            if got_depth.len() != depth.len() || got_tags.len() != tags.len() {
                 return Err(CkptError::Mismatch("stack profiler sampled sets"));
             }
-            for stack in kind.iter_mut() {
-                let len = r.len64()?;
-                if len > self.ways as usize {
-                    return Err(CkptError::Corrupt("shadow stack deeper than ways"));
+            for (&d, row) in got_depth.iter().zip(got_tags.chunks_exact(w)) {
+                if d > w as u64 || row[d as usize..].iter().any(|&t| t != 0) {
+                    return Err(CkptError::Corrupt("shadow stack depth"));
                 }
-                let tags = r.vec_u64()?;
-                if tags.len() != len {
-                    return Err(CkptError::Corrupt("shadow stack length"));
-                }
-                *stack = tags;
             }
+            *depth = got_depth;
+            tags.copy_from_slice(&got_tags);
         }
         for counters in &mut self.counters {
             let loaded = r.vec_u64()?;

@@ -15,10 +15,10 @@
 //! set) and exposes each operation's home [`LineAddr`]; the caller routes
 //! that address through the cache hierarchy and DRAM timing model.
 
-use crate::sram::{pack, size_code, size_from_code, TlbKey, EMPTY};
+use crate::sram::{pack, pack_frame, unpack_frame, TlbKey, EMPTY};
 use csalt_types::{
-    Asid, CkptError, CkptReader, CkptWriter, HitMissStats, L0Memo, L0Stats, LineAddr, PageSize,
-    PhysAddr, PhysFrame, PomTlbConfig, VirtPage,
+    Asid, CkptError, CkptReader, CkptWriter, HitMissStats, L0Memo, L0Stats, LineAddr, LineSlab,
+    PageSize, PhysAddr, PhysFrame, PomTlbConfig, VirtPage,
 };
 
 /// Result of a POM-TLB lookup: the translation (if resident) and the
@@ -33,20 +33,23 @@ pub struct PomLookup {
 
 /// The memory-resident large TLB array.
 ///
-/// Storage is struct-of-arrays with packed `u64` keys (shared with the
-/// SRAM TLBs), MRU-first within each set: the way scan compares one word
-/// per way and recency updates are short rotations — no per-insert
-/// allocation. Valid entries always form a prefix of the set.
+/// Storage is one set-major slab that mirrors the simulated layout: set
+/// `s` is the `2 * ways` words at `s * 2 * ways`, its packed keys
+/// (MRU first) followed by its packed frames (`pfn << 2 | size code`).
+/// With the paper's 4 ways, one 64-byte simulated set is exactly one
+/// 64-byte host line, so a lookup touches one line and a hit's recency
+/// update is two short rotations inside it — no per-insert allocation.
+/// Keys are stored XOR [`EMPTY`], so a zeroed slab is an empty array (the
+/// untouched part of the 16 MiB table is never even paged in) and a
+/// checkpoint's empty slots are zeros. Valid entries always form a
+/// prefix of the set.
 #[derive(Debug, Clone)]
 pub struct PomTlb {
     cfg: PomTlbConfig,
     sets: u64,
     ways: u32,
-    /// Packed key per slot (`keys[set * ways + way]`); [`EMPTY`] marks an
-    /// invalid way.
-    keys: Vec<u64>,
-    /// Frame per slot, parallel to `keys` (garbage where empty).
-    frames: Vec<PhysFrame>,
+    /// `[key_0 .. key_{W-1} | frame_0 .. frame_{W-1}]` per set.
+    slab: LineSlab,
     stats: HitMissStats,
     /// Last-hit memo. A POM hit always rotates the entry to way 0, so
     /// the memo only ever records way 0 — where a repeat hit's rotation
@@ -65,16 +68,22 @@ impl PomTlb {
     pub fn new(cfg: PomTlbConfig) -> Self {
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "POM-TLB sets must be 2^k");
-        let slots = (sets * u64::from(cfg.ways)) as usize;
         Self {
             sets,
             ways: cfg.ways,
-            keys: vec![EMPTY; slots],
-            frames: vec![PhysFrame::from_pfn(0, PageSize::Size4K); slots],
+            slab: LineSlab::new((sets * 2 * u64::from(cfg.ways)) as usize, 0),
             cfg,
             stats: HitMissStats::new(),
             l0: L0Memo::new(),
         }
+    }
+
+    /// The `(keys, frames)` halves of `set`.
+    #[inline]
+    fn set_mut(&mut self, set: u64) -> (&mut [u64], &mut [u64]) {
+        let w = self.ways as usize;
+        let base = set as usize * 2 * w;
+        self.slab[base..base + 2 * w].split_at_mut(w)
     }
 
     /// The array's configuration.
@@ -175,16 +184,13 @@ impl PomTlb {
         }
         let set = self.set_of_packed(packed);
         let line = self.line_of_set(set);
-        let base = (set * u64::from(self.ways)) as usize;
-        let ways = self.ways as usize;
-        if let Some(way) = self.keys[base..base + ways]
-            .iter()
-            .position(|&k| k == packed)
-        {
-            let frame = self.frames[base + way];
+        let stored = packed ^ EMPTY;
+        let (keys, frames) = self.set_mut(set);
+        if let Some(way) = keys.iter().position(|&k| k == stored) {
+            let frame = unpack_frame(frames[way]);
             // Move to MRU (front) by rotating the prefix.
-            self.keys[base..=base + way].rotate_right(1);
-            self.frames[base..=base + way].rotate_right(1);
+            keys[..=way].rotate_right(1);
+            frames[..=way].rotate_right(1);
             self.stats.record_hit();
             // The rotation shifted every way below `way`, so a memo for
             // a *different* key in this set is stale; this key is now
@@ -207,23 +213,19 @@ impl PomTlb {
         let key = TlbKey { page, asid };
         let set = self.set_of(&key);
         let line = self.line_of_set(set);
-        let base = (set * u64::from(self.ways)) as usize;
-        let ways = self.ways as usize;
-        let packed = pack(&key);
+        let stored = pack(&key) ^ EMPTY;
+        let (keys, frames) = self.set_mut(set);
         // Rotate a stale copy (if present) — else the whole set, pushing
         // the LRU (or an empty tail slot) to the front — then overwrite
         // the front with the new MRU entry. Valid entries stay a prefix.
-        let upto = match self.keys[base..base + ways]
+        let upto = keys
             .iter()
-            .position(|&k| k == packed)
-        {
-            Some(way) => way,
-            None => ways - 1,
-        };
-        self.keys[base..=base + upto].rotate_right(1);
-        self.frames[base..=base + upto].rotate_right(1);
-        self.keys[base] = packed;
-        self.frames[base] = frame;
+            .position(|&k| k == stored)
+            .unwrap_or(keys.len() - 1);
+        keys[..=upto].rotate_right(1);
+        frames[..=upto].rotate_right(1);
+        keys[0] = stored;
+        frames[0] = pack_frame(frame);
         // The rotation + overwrite moved every entry in the set.
         self.l0.invalidate_set(set);
         line
@@ -231,7 +233,11 @@ impl PomTlb {
 
     /// Number of valid entries currently held (tests / reporting).
     pub fn valid_entries(&self) -> u64 {
-        self.keys.iter().filter(|&&k| k != EMPTY).count() as u64
+        let w = self.ways as usize;
+        self.slab
+            .chunks_exact(2 * w)
+            .map(|set| set[..w].iter().filter(|&&k| k != 0).count() as u64)
+            .sum()
     }
 
     /// Fraction of POM-TLB slots holding a valid translation, in
@@ -246,45 +252,41 @@ impl PomTlb {
         }
     }
 
-    /// Serializes geometry guards, packed keys in positional (MRU-first)
-    /// order, frames and hit/miss counters. The L0 memo is not
-    /// serialized (restore invalidates it).
+    /// Serializes geometry guards, the slab as one array (keys in
+    /// positional, MRU-first order; empty slots are zeros) and hit/miss
+    /// counters. The L0 memo is not serialized (restore invalidates it).
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.sets);
         w.u32(self.ways);
-        // Keys are stored XOR [`EMPTY`] so untouched slots (the vast
-        // majority after a short warmup) serialize as zero and the
-        // sparse streaming encodes collapse them.
-        w.iter_u64(self.keys.len(), self.keys.iter().map(|&k| k ^ EMPTY));
-        w.iter_u64(self.frames.len(), self.frames.iter().map(|f| f.pfn()));
-        w.iter_u8(
-            self.frames.len(),
-            self.frames.iter().map(|f| size_code(f.size())),
-        );
+        w.slice_u64(&self.slab);
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
     }
 
     /// Restores state written by [`PomTlb::ckpt_save`] into this
     /// (config-constructed) array; recency is positional, so restoring
-    /// the key order restores it exactly. The L0 memo is invalidated.
+    /// the slab restores it exactly. Every set must keep its valid keys
+    /// a prefix with well-formed frames. The L0 memo is invalidated.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u64()? != self.sets || r.u32()? != self.ways {
             return Err(CkptError::Mismatch("pom-tlb geometry"));
         }
-        let keys: Vec<u64> = r.vec_u64()?.into_iter().map(|k| k ^ EMPTY).collect();
-        let pfns = r.vec_u64()?;
-        if keys.len() != self.keys.len() || pfns.len() != self.frames.len() {
-            return Err(CkptError::Mismatch("pom-tlb slot count"));
+        let words = r.vec_u64()?;
+        if words.len() != self.slab.len() {
+            return Err(CkptError::Mismatch("pom-tlb slab length"));
         }
-        let sizes = r.vec_u8()?;
-        if sizes.len() != self.frames.len() {
-            return Err(CkptError::Mismatch("pom-tlb size array"));
+        let w = self.ways as usize;
+        for set in words.chunks_exact(2 * w) {
+            let (keys, frames) = set.split_at(w);
+            let valid = keys.iter().take_while(|&&k| k != 0).count();
+            if keys[valid..].iter().any(|&k| k != 0) {
+                return Err(CkptError::Corrupt("pom-tlb set with a hole"));
+            }
+            if frames[..valid].iter().any(|&f| f & 0b11 == 3) {
+                return Err(CkptError::Corrupt("page size code"));
+            }
         }
-        self.keys = keys;
-        for (dst, (pfn, &code)) in self.frames.iter_mut().zip(pfns.iter().zip(sizes.iter())) {
-            *dst = PhysFrame::from_pfn(*pfn, size_from_code(code)?);
-        }
+        self.slab.copy_from_slice(&words);
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
         self.l0.invalidate();

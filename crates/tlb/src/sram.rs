@@ -2,7 +2,7 @@
 //! levels of the paper's Table 2, ASID-tagged so context switches do not
 //! flush them (§1).
 
-use csalt_cache::SetReplacement;
+use csalt_cache::ReplacementArray;
 use csalt_types::{
     Asid, CkptError, CkptReader, CkptWriter, Cycle, HitMissStats, L0Memo, L0Stats, PageSize,
     PhysFrame, ReplacementKind, TlbGeometry, VirtPage,
@@ -25,6 +25,24 @@ pub(crate) fn size_from_code(code: u8) -> Result<PageSize, CkptError> {
         2 => Ok(PageSize::Size1G),
         _ => Err(CkptError::Corrupt("page size code")),
     }
+}
+
+/// Packs a frame into one word: the PFN above its 2-bit page-size code.
+#[inline]
+pub(crate) fn pack_frame(frame: PhysFrame) -> u64 {
+    debug_assert!(frame.pfn() < 1 << 62, "pfn overflows packed frame");
+    (frame.pfn() << 2) | u64::from(size_code(frame.size()))
+}
+
+/// Inverse of [`pack_frame`] for a word the TLB wrote itself.
+#[inline]
+pub(crate) fn unpack_frame(word: u64) -> PhysFrame {
+    let size = match word & 0b11 {
+        0 => PageSize::Size4K,
+        1 => PageSize::Size2M,
+        _ => PageSize::Size1G,
+    };
+    PhysFrame::from_pfn(word >> 2, size)
 }
 
 /// Full lookup key: virtual page (number + size) and address space.
@@ -56,7 +74,8 @@ pub(crate) fn pack(key: &TlbKey) -> u64 {
 /// TLB (entries of both sizes coexist; the set index mixes the page size
 /// so 4 KiB and 2 MiB entries of the same region do not collide).
 /// Storage is struct-of-arrays: packed keys in one flat `u64` array
-/// (scanned on the hot path) with frames alongside.
+/// (scanned on the hot path) with packed frames alongside, and True-LRU
+/// stamps in one set-major [`ReplacementArray`] slab — nothing per set.
 #[derive(Debug, Clone)]
 pub struct SramTlb {
     sets: u32,
@@ -64,9 +83,11 @@ pub struct SramTlb {
     latency: Cycle,
     /// Packed keys per slot; [`EMPTY`] marks an invalid way.
     keys: Vec<u64>,
-    /// Frame per slot, parallel to `keys` (garbage where empty).
-    frames: Vec<PhysFrame>,
-    repl: Vec<SetReplacement>,
+    /// Packed frame per slot ([`pack_frame`]), parallel to `keys`
+    /// (garbage where empty).
+    frames: Vec<u64>,
+    /// True-LRU state for every set.
+    repl: ReplacementArray,
     stats: HitMissStats,
     /// Last-hit `(packed key → set, way)` memo; payload is the hit frame.
     /// On a repeat lookup the set scan is skipped and the hit path's
@@ -107,10 +128,8 @@ impl SramTlb {
             ways: geom.ways,
             latency: geom.latency,
             keys: vec![EMPTY; slots],
-            frames: vec![PhysFrame::from_pfn(0, PageSize::Size4K); slots],
-            repl: (0..sets)
-                .map(|_| SetReplacement::new(ReplacementKind::TrueLru, geom.ways))
-                .collect(),
+            frames: vec![0; slots],
+            repl: ReplacementArray::new(ReplacementKind::TrueLru, sets as usize, geom.ways),
             stats: HitMissStats::new(),
             l0: L0Memo::new(),
         })
@@ -190,7 +209,7 @@ impl SramTlb {
         // replays exactly the mutations the scan's hit arm performs
         // below (recency touch + hit count), so state is bit-identical.
         if let Some((set, way, frame)) = self.l0.hit(packed) {
-            self.repl[set as usize].touch(way);
+            self.repl.touch(set as usize, way);
             self.stats.record_hit();
             return Some(frame);
         }
@@ -198,8 +217,8 @@ impl SramTlb {
         let base = self.slot(set, 0);
         let set_keys = &self.keys[base..base + self.ways as usize];
         if let Some(way) = set_keys.iter().position(|&k| k == packed) {
-            let frame = self.frames[base + way];
-            self.repl[set as usize].touch(way as u32);
+            let frame = unpack_frame(self.frames[base + way]);
+            self.repl.touch(set as usize, way as u32);
             self.stats.record_hit();
             self.l0.remember(packed, u64::from(set), way as u32, frame);
             return Some(frame);
@@ -231,13 +250,15 @@ impl SramTlb {
             Some(w) => w as u32,
             None => match set_keys.iter().position(|&k| k == EMPTY) {
                 Some(w) => w as u32,
-                None => self.repl[set as usize].victim(csalt_cache::way_range_mask(0, self.ways)),
+                None => self
+                    .repl
+                    .victim(set as usize, csalt_cache::way_range_mask(0, self.ways)),
             },
         };
         let slot = base + way as usize;
         self.keys[slot] = packed;
-        self.frames[slot] = frame;
-        self.repl[set as usize].touch(way);
+        self.frames[slot] = pack_frame(frame);
+        self.repl.touch(set as usize, way);
         // Any write into the memoized set (refresh, fill or eviction) may
         // have moved or replaced the remembered entry.
         self.l0.invalidate_set(u64::from(set));
@@ -272,20 +293,17 @@ impl SramTlb {
         f64::from(self.valid_entries()) / f64::from(self.capacity())
     }
 
-    /// Serializes geometry guards, packed keys, frames (PFN + size
-    /// code), per-set replacement state and hit/miss counters. The L0
-    /// memo is not serialized (restore invalidates it).
+    /// Serializes geometry guards, packed keys, packed frames, the
+    /// replacement slab and hit/miss counters, one array each. Keys are
+    /// stored XOR [`EMPTY`] so empty ways serialize as zeros for the
+    /// sparse encoder. The L0 memo is not serialized (restore
+    /// invalidates it).
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u32(self.sets);
         w.u32(self.ways);
-        w.slice_u64(&self.keys);
-        let pfns: Vec<u64> = self.frames.iter().map(|f| f.pfn()).collect();
-        w.slice_u64(&pfns);
-        let sizes: Vec<u8> = self.frames.iter().map(|f| size_code(f.size())).collect();
-        w.slice_u8(&sizes);
-        for set in &self.repl {
-            set.ckpt_save(w);
-        }
+        w.iter_u64(self.keys.len(), self.keys.iter().map(|&k| k ^ EMPTY));
+        w.slice_u64(&self.frames);
+        self.repl.ckpt_save(w);
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
     }
@@ -297,21 +315,18 @@ impl SramTlb {
             return Err(CkptError::Mismatch("sram-tlb geometry"));
         }
         let keys = r.vec_u64()?;
-        let pfns = r.vec_u64()?;
-        if keys.len() != self.keys.len() || pfns.len() != self.frames.len() {
+        let frames = r.vec_u64()?;
+        if keys.len() != self.keys.len() || frames.len() != self.frames.len() {
             return Err(CkptError::Mismatch("sram-tlb slot count"));
         }
-        let sizes = r.vec_u8()?;
-        if sizes.len() != self.frames.len() {
-            return Err(CkptError::Mismatch("sram-tlb size array"));
+        for (dst, k) in self.keys.iter_mut().zip(keys) {
+            *dst = k ^ EMPTY;
         }
-        self.keys = keys;
-        for (dst, (pfn, &code)) in self.frames.iter_mut().zip(pfns.iter().zip(sizes.iter())) {
-            *dst = PhysFrame::from_pfn(*pfn, size_from_code(code)?);
+        if frames.iter().any(|&f| f & 0b11 == 3) {
+            return Err(CkptError::Corrupt("page size code"));
         }
-        for set in &mut self.repl {
-            set.ckpt_load(r)?;
-        }
+        self.frames = frames;
+        self.repl.ckpt_load(r)?;
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
         self.l0.invalidate();

@@ -23,7 +23,10 @@ pub const CKPT_MAGIC: [u8; 8] = *b"CSALTCKP";
 
 /// Current checkpoint format version. Bumped whenever any section
 /// layout changes; older images are rejected (fall back to cold run).
-pub const CKPT_VERSION: u32 = 1;
+/// Version 2 writes each set-associative structure's replacement,
+/// SRAM-TLB, POM-TLB and shadow-stack state as one set-major array
+/// apiece, where version 1 wrote a tagged record per set.
+pub const CKPT_VERSION: u32 = 2;
 
 /// FNV-1a offset basis (matches the sweep cache's key hash).
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;

@@ -37,6 +37,7 @@ pub mod ids;
 pub mod invariants;
 pub mod l0;
 pub mod request;
+pub mod slab;
 pub mod stats;
 
 pub use addr::{LineAddr, PageSize, PhysAddr, PhysFrame, VirtAddr, VirtPage, LINE_BYTES};
@@ -51,4 +52,5 @@ pub use ids::{Asid, ContextId, CoreId, Cycle};
 pub use invariants::{Severity, Violation};
 pub use l0::{L0Memo, L0Stats};
 pub use request::{AccessType, EntryKind, MemAccess};
+pub use slab::LineSlab;
 pub use stats::{geomean, HitMissStats};

@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests (proptest) on the invariants the
 //! simulator's correctness rests on.
 
-use csalt::cache::{way_range_mask, Cache, SetReplacement};
+use csalt::cache::{way_range_mask, Cache, ReplacementArray};
 use csalt::profiler::{choose_partition, StackDistanceProfiler, Weights};
 use csalt::ptw::{FrameAllocator, HugePagePolicy, NativeWalker, RadixPageTable};
 use csalt::tlb::{PomTlb, SramTlb};
@@ -49,21 +49,27 @@ proptest! {
     }
 
     /// Replacement victim always comes from the allowed mask, for every
-    /// policy.
+    /// policy, in any set of a multi-set array.
     #[test]
     fn victims_respect_masks(
         touches in prop::collection::vec(0u32..8, 0..50),
         lo in 0u32..7,
         len in 1u32..8,
+        set in 0usize..3,
     ) {
         let hi = (lo + len).min(8);
-        for kind in [ReplacementKind::TrueLru, ReplacementKind::Nru, ReplacementKind::BtPlru] {
-            let mut r = SetReplacement::new(kind, 8);
+        for kind in [
+            ReplacementKind::TrueLru,
+            ReplacementKind::Nru,
+            ReplacementKind::BtPlru,
+            ReplacementKind::Rrip,
+        ] {
+            let mut r = ReplacementArray::new(kind, 3, 8);
             for &t in &touches {
-                r.touch(t);
+                r.touch(set, t);
             }
             let mask = way_range_mask(lo, hi);
-            let v = r.victim(mask);
+            let v = r.victim(set, mask);
             prop_assert!(mask & (1u64 << v) != 0, "{kind:?}: victim {v} outside {lo}..{hi}");
         }
     }
