@@ -29,7 +29,7 @@
 //! measured phase — both run the identical hot path) divided by the
 //! run's wall time, minimized over rounds to reject scheduler noise.
 
-use csalt_sim::{experiments, run_inline, run_pipelined, SimConfig, WarmupMode};
+use csalt_sim::{experiments, run, SimConfig, WarmupMode};
 use csalt_types::{geomean, Asid, TranslationHint, TranslationScheme};
 use csalt_workloads::{BenchKind, TraceFile, TraceGenerator, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -40,15 +40,6 @@ use std::time::Instant;
 /// gate fails (covers machine-to-machine and co-tenant noise).
 const MAX_REGRESSION: f64 = 0.20;
 
-/// Pipeline speedup the record-mode run expects on a host with at
-/// least [`SPEEDUP_MIN_THREADS`] hardware threads (warning, not gate —
-/// CI gates must stay meaningful on small runners).
-const SPEEDUP_TARGET: f64 = 1.25;
-/// Host threads below which the speedup warning is suppressed: with
-/// fewer, producers and the commit stage share cores and the pipelined
-/// mode measures coordination overhead, not overlap.
-const SPEEDUP_MIN_THREADS: usize = 4;
-
 /// The recorded perf trajectory: `BENCH_throughput.json`.
 #[derive(Debug, Serialize, Deserialize)]
 struct ThroughputRecord {
@@ -58,8 +49,7 @@ struct ThroughputRecord {
     /// Record mode refuses to replace a clean record for the same
     /// revision with dirty numbers (see `refuse_dirty_overwrite`).
     dirty: bool,
-    /// `available_parallelism` of the recording host — context for the
-    /// pipeline columns (speedup is only meaningful with ≥4 threads).
+    /// `available_parallelism` of the recording host.
     host_threads: usize,
     /// Workload pairing measured (fig07 x-axis label).
     workload: String,
@@ -78,8 +68,8 @@ struct ThroughputRecord {
     /// The identical warmup-dominated run with timed warmup — the
     /// baseline the fast-forward speedup compares against.
     fastforward_timed_accesses_per_sec: f64,
-    /// v2 staged replay: records/sec through the producer staging loop
-    /// with prepacked TLB keys (`TraceFile::next_staged`).
+    /// v2 staged replay: records/sec popped with prepacked TLB keys
+    /// (`TraceFile::next_staged`).
     trace_replay_v2_accesses_per_sec: f64,
     /// v1 unstaged replay: records/sec with per-access key packing —
     /// the cost the v2 format removes.
@@ -98,26 +88,17 @@ struct ThroughputRecord {
     l0_off_geomean_accesses_per_sec: f64,
 }
 
-/// One scheme's recorded measurement: the inline baseline and the
-/// forced-pipeline mode side by side, at both run lengths.
+/// One scheme's recorded measurement, at both run lengths.
 #[derive(Debug, Serialize, Deserialize)]
 struct SchemeThroughput {
     /// `TranslationScheme::label()`.
     scheme: String,
-    /// Inline-mode simulated accesses per wall-clock second
-    /// (full-length run).
+    /// Simulated accesses per wall-clock second (full-length run).
     accesses_per_sec: f64,
     /// Same metric at the smoke-length run — the floor `CSALT_SMOKE=1`
     /// compares against (short runs are systematically slower).
     smoke_accesses_per_sec: f64,
-    /// Pipelined-mode accesses/sec, full-length run (`CSALT_PIPELINE=
-    /// force` semantics). Informational: the smoke gate only holds the
-    /// inline floors, so small CI hosts cannot fail on overlap they
-    /// physically cannot express.
-    pipeline_accesses_per_sec: f64,
-    /// Pipelined-mode accesses/sec at the smoke length.
-    pipeline_smoke_accesses_per_sec: f64,
-    /// Inline full-length accesses/sec with `CSALT_L0=off` — the memo
+    /// Full-length accesses/sec with `CSALT_L0=off` — the memo
     /// ablation row (`accesses_per_sec` is the memo-on rate).
     l0_off_accesses_per_sec: f64,
 }
@@ -147,20 +128,14 @@ fn config(scheme: TranslationScheme, accesses: u64, warmup: u64) -> SimConfig {
     cfg
 }
 
-/// Best-of-`rounds` accesses/sec for one scheme, in the inline mode
-/// (`pipelined = false`, the measurement baseline and the smoke-gate
-/// floor) or the forced-pipeline mode.
-fn measure(cfg: &SimConfig, rounds: u32, pipelined: bool) -> f64 {
+/// Best-of-`rounds` accesses/sec for one configuration.
+fn measure(cfg: &SimConfig, rounds: u32) -> f64 {
     let total_accesses =
         (cfg.accesses_per_core + cfg.warmup_accesses_per_core) * u64::from(cfg.system.cores);
     let mut best = 0.0f64;
     for _ in 0..rounds {
         let t = Instant::now();
-        let r = if pipelined {
-            run_pipelined(cfg).0
-        } else {
-            run_inline(cfg)
-        };
+        let r = run(cfg);
         let elapsed = t.elapsed().as_secs_f64();
         assert!(r.instructions > 0, "run produced no work");
         best = best.max(total_accesses as f64 / elapsed);
@@ -168,11 +143,12 @@ fn measure(cfg: &SimConfig, rounds: u32, pipelined: bool) -> f64 {
     best
 }
 
-/// Speedup targets for the two fast-path measurements (warnings, not
-/// gates — single-thread CI runners measure these under co-tenant
-/// noise, same policy as [`SPEEDUP_TARGET`]).
+/// Speedup targets for the fast-path measurements and the L0 memo
+/// ablation (warnings, not gates — single-thread CI runners measure
+/// these under co-tenant noise).
 const FASTFORWARD_TARGET: f64 = 5.0;
 const REPLAY_V2_TARGET: f64 = 2.0;
+const L0_MEMO_TARGET: f64 = 1.25;
 
 /// (measured, warmup, rounds) for the fast-forward measurement: warmup
 /// dominates 30:1, so the run's rate is the warmup path's rate.
@@ -194,9 +170,9 @@ const REPLAY_SMOKE_ACCESSES: u64 = 500_000;
 fn measure_fastforward() -> (f64, f64) {
     let (accesses, warmup, rounds) = FF_RUN;
     let mut cfg = config(TranslationScheme::CsaltCd, accesses, warmup);
-    let timed = measure(&cfg, rounds, false);
+    let timed = measure(&cfg, rounds);
     cfg.warmup_mode = WarmupMode::Functional;
-    let functional = measure(&cfg, rounds, false);
+    let functional = measure(&cfg, rounds);
     (functional, timed)
 }
 
@@ -206,11 +182,11 @@ fn measure_fastforward_smoke() -> f64 {
     let (accesses, warmup, rounds) = FF_SMOKE_RUN;
     let mut cfg = config(TranslationScheme::CsaltCd, accesses, warmup);
     cfg.warmup_mode = WarmupMode::Functional;
-    measure(&cfg, rounds, false)
+    measure(&cfg, rounds)
 }
 
-/// v2 (prepacked keys) vs v1 (pack per access) replay rate through the
-/// producer staging loop: `(v2, v1)` records/sec, best of `rounds`.
+/// v2 (prepacked keys) vs v1 (pack per access) replay rate:
+/// `(v2, v1)` records/sec, best of `rounds`.
 fn measure_trace_replay(rounds: u32, accesses: u64) -> (f64, f64) {
     let mut g = BenchKind::Graph500.build(1, experiments::scaled::SCALE);
     let records: Vec<_> = (0..REPLAY_RECORDS).map(|_| g.next_access()).collect();
@@ -245,14 +221,14 @@ const FULL_RUN: (u64, u64, u32) = (60_000, 60_000, 3);
 /// Smoke attempts before a regression verdict sticks (noise bursts).
 const SMOKE_ATTEMPTS: u32 = 3;
 
-/// One smoke-length measurement of every fig07 scheme, in one mode.
-fn measure_smoke_all(pipelined: bool) -> Vec<(String, f64)> {
+/// One smoke-length measurement of every fig07 scheme.
+fn measure_smoke_all() -> Vec<(String, f64)> {
     let (accesses, warmup, rounds) = SMOKE_RUN;
     experiments::FIG7_SCHEMES
         .into_iter()
         .map(|scheme| {
             let cfg = config(scheme, accesses, warmup);
-            (scheme.label(), measure(&cfg, rounds, pipelined))
+            (scheme.label(), measure(&cfg, rounds))
         })
         .collect()
 }
@@ -284,7 +260,7 @@ fn run_smoke_gate(path: &Path) {
     let mut best: Vec<(String, f64)> = Vec::new();
     let (mut best_ff, mut best_replay) = (0.0f64, 0.0f64);
     for attempt in 1..=SMOKE_ATTEMPTS {
-        for (label, aps) in measure_smoke_all(false) {
+        for (label, aps) in measure_smoke_all() {
             match best.iter_mut().find(|(l, _)| *l == label) {
                 Some((_, b)) => *b = b.max(aps),
                 None => best.push((label, aps)),
@@ -383,10 +359,9 @@ fn main() {
     std::env::set_var("CSALT_L0", "on");
 
     let (accesses, warmup, rounds) = FULL_RUN;
-    let smoke_rates = measure_smoke_all(false);
-    let pipeline_smoke_rates = measure_smoke_all(true);
-    let rate_for = |rates: &[(String, f64)], label: &str| {
-        rates
+    let smoke_rates = measure_smoke_all();
+    let smoke_rate = |label: &str| {
+        smoke_rates
             .iter()
             .find(|(l, _)| l == label)
             .map(|&(_, aps)| aps)
@@ -396,36 +371,21 @@ fn main() {
     for scheme in experiments::FIG7_SCHEMES {
         let cfg = config(scheme, accesses, warmup);
         let label = scheme.label();
-        let aps = measure(&cfg, rounds, false);
-        let pipeline_aps = measure(&cfg, rounds, true);
+        let aps = measure(&cfg, rounds);
         std::env::set_var("CSALT_L0", "off");
-        let l0_off_aps = measure(&cfg, rounds, false);
+        let l0_off_aps = measure(&cfg, rounds);
         std::env::set_var("CSALT_L0", "on");
-        let speedup = pipeline_aps / aps;
-        println!(
-            "{label:>14}: inline {aps:>12.0} acc/s, pipeline {pipeline_aps:>12.0} acc/s \
-             ({speedup:.2}x)",
-        );
-        if host_threads >= SPEEDUP_MIN_THREADS && speedup < SPEEDUP_TARGET {
-            println!(
-                "{label:>14}  WARNING: pipeline speedup {speedup:.2}x is below the \
-                 {SPEEDUP_TARGET}x target on a {host_threads}-thread host",
-            );
-        }
+        println!("{label:>14}: {aps:>12.0} acc/s");
         schemes.push(SchemeThroughput {
-            scheme: label.clone(),
+            smoke_accesses_per_sec: smoke_rate(&label),
+            scheme: label,
             accesses_per_sec: aps,
-            smoke_accesses_per_sec: rate_for(&smoke_rates, &label),
-            pipeline_accesses_per_sec: pipeline_aps,
-            pipeline_smoke_accesses_per_sec: rate_for(&pipeline_smoke_rates, &label),
             l0_off_accesses_per_sec: l0_off_aps,
         });
     }
 
     // The L0 memo ablation: memo-on vs memo-off geomean across the
-    // fig07 schemes. Warn-only, and only on hosts with enough threads
-    // to make throughput comparisons meaningful (same policy as the
-    // pipeline speedup — 1-thread CI runners measure co-tenant noise).
+    // fig07 schemes. Warn-only, like the fast-path targets.
     let l0_on_geo = geomean(schemes.iter().map(|s| s.accesses_per_sec)).unwrap_or(0.0);
     let l0_off_geo = geomean(schemes.iter().map(|s| s.l0_off_accesses_per_sec)).unwrap_or(0.0);
     let l0_speedup = if l0_off_geo > 0.0 {
@@ -437,10 +397,10 @@ fn main() {
         "        l0 memo: {l0_on_geo:>12.0} acc/s geomean vs off {l0_off_geo:>12.0} acc/s \
          ({l0_speedup:.2}x)",
     );
-    if host_threads >= SPEEDUP_MIN_THREADS && l0_speedup < SPEEDUP_TARGET {
+    if l0_speedup < L0_MEMO_TARGET {
         println!(
             "        l0 memo  WARNING: memo-on geomean speedup {l0_speedup:.2}x is below the \
-             {SPEEDUP_TARGET}x target on a {host_threads}-thread host",
+             {L0_MEMO_TARGET}x target on a {host_threads}-thread host",
         );
     }
 
@@ -510,11 +470,6 @@ fn main() {
         history.push((
             format!("{}/accesses_per_sec", s.scheme),
             s.accesses_per_sec,
-            "higher",
-        ));
-        history.push((
-            format!("{}/pipeline_accesses_per_sec", s.scheme),
-            s.pipeline_accesses_per_sec,
             "higher",
         ));
     }

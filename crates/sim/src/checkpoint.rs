@@ -18,8 +18,10 @@
 //!
 //! The hard contract — a restored run is bit-identical to a
 //! straight-through run — is pinned by `tests/determinism.rs` across
-//! every scheme, both virtualization modes and the pipelined commit
-//! path, and re-proven by the `ckpt-gate` CI step. `CSALT_CKPT=off` is
+//! every scheme and both virtualization modes, and re-proven by the
+//! `ckpt-gate` CI step. A restore skips each access stream past the
+//! records warmup consumed: staged trace replays seek in O(1),
+//! generators regenerate the prefix. `CSALT_CKPT=off` is
 //! the escape hatch that disables the whole layer.
 //!
 //! This module is integer-only (the envelope stores `f64` state as bit
@@ -32,7 +34,7 @@ use csalt_types::ckpt::fnv1a_bytes;
 use csalt_types::{CkptError, CkptReader, CkptWriter};
 use serde::Serialize;
 use std::cell::Cell;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Whether checkpointed warmup runs (the `CSALT_CKPT` env var). The
@@ -279,12 +281,18 @@ pub(crate) fn plan(cfg: &SimConfig) -> Option<CkptPlan> {
         return None;
     }
     let dir = SweepOptions::from_env().cache_dir?;
-    let fingerprint = engine_fingerprint();
-    let path = dir.join(format!("ckpt-{}-{}.bin", fingerprint, warmup_key(cfg)));
-    Some(CkptPlan { path, fingerprint })
+    Some(CkptPlan::in_dir(&dir, cfg))
 }
 
 impl CkptPlan {
+    /// The plan that keeps `cfg`'s image under `dir`, keyed by the
+    /// engine fingerprint and the config's warmup prefix.
+    pub(crate) fn in_dir(dir: &Path, cfg: &SimConfig) -> Self {
+        let fingerprint = engine_fingerprint();
+        let path = dir.join(format!("ckpt-{}-{}.bin", fingerprint, warmup_key(cfg)));
+        CkptPlan { path, fingerprint }
+    }
+
     /// Attempts to restore this plan's image into `hier`.
     ///
     /// * `Ok(Some(meta))` — restored; counted.

@@ -47,9 +47,9 @@ pub(crate) struct FunctionalSchedule {
 /// untouched (fast-forwarded work is by definition unmeasured), but
 /// `current_vm` *does* advance so the measured phase resumes from the
 /// schedule position warmup ended on, exactly like a timed warmup.
-pub(crate) fn functional_phase<S: AccessSource>(
+pub(crate) fn functional_phase(
     hier: &mut MemoryHierarchy,
-    source: &mut S,
+    source: &mut AccessSource,
     vm_ctx: &[ContextId],
     cores_state: &mut [CoreState],
     accesses_per_core: u64,
@@ -83,13 +83,13 @@ pub(crate) fn functional_phase<S: AccessSource>(
                     hier.l0_note_context_switch(core);
                 }
                 let vm = cores_state[core].current_vm as usize;
-                let staged = source.next(core, vm);
-                instr[core] += staged.acc.instructions();
+                let (acc, hint) = source.next(core, vm);
+                instr[core] += acc.instructions();
                 block.push(BlockAccess {
                     core: CoreId::new(core as u8),
                     ctx: vm_ctx[vm],
-                    acc: staged.acc,
-                    hint: staged.hint,
+                    acc,
+                    hint,
                 });
                 done[core] += 1;
                 if done[core] >= accesses_per_core {

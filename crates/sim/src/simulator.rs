@@ -20,16 +20,15 @@
 //! latency divided by the configured memory-level parallelism (data
 //! misses overlap through MSHRs; translations do not).
 
+use crate::checkpoint::{self, CkptPlan};
 use crate::fastforward::{functional_phase, FunctionalSchedule};
 use csalt_core::{
     AccessCharge, BlockAccess, HierarchySnapshot, MemoryHierarchy, PartitionSample, StageSample,
 };
-use csalt_pipeline::{
-    PipelineProgress, PipelineStats, Reservation, StagedAccess, StagedStreams, ThreadBudget,
-};
 use csalt_ptw::HugePagePolicy;
 use csalt_types::{
-    geomean, Asid, ContextId, CoreId, Cycle, MemAccess, SystemConfig, TranslationScheme,
+    geomean, Asid, ContextId, CoreId, Cycle, MemAccess, SystemConfig, TranslationHint,
+    TranslationScheme,
 };
 use csalt_workloads::{AnyGenerator, TraceGenerator, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -281,15 +280,13 @@ trait PhaseHooks {
     /// the core's cycle count after the switch overhead was charged.
     fn on_context_switch(&mut self, _core: usize, _from_vm: u32, _to_vm: u32, _at_cycles: Cycle) {}
     /// Called after every round-robin sweep over the cores with the
-    /// phase's cumulative access count, target, and (when the pipelined
-    /// source is running) a live pipeline-progress snapshot.
+    /// phase's cumulative access count and target.
     fn after_sweep(
         &mut self,
         _hier: &MemoryHierarchy,
         _cores: &[CoreState],
         _total: u64,
         _target: u64,
-        _progress: Option<PipelineProgress>,
     ) {
     }
 }
@@ -298,149 +295,98 @@ trait PhaseHooks {
 struct NoHooks;
 impl PhaseHooks for NoHooks {}
 
-/// Where the commit stage gets its next access for a `(core, VM)`
-/// generator stream. The engine is monomorphized over the
-/// implementation, mirroring [`PhaseHooks`]: the inline source compiles
-/// to exactly the pre-pipeline per-access code, so the default path
-/// pays nothing for the pipelined mode's existence.
-pub(crate) trait AccessSource {
-    /// The next access of `(core, vm)`'s stream, with its pure
-    /// precomputation (packed TLB keys) done.
-    fn next(&mut self, core: usize, vm: usize) -> StagedAccess;
+/// Where the engine gets the next access of each `(core, VM)` stream:
+/// the run's generator matrix, driven on the simulating thread. Each
+/// stream picks its own path. A staged (v2) trace replay pops its
+/// prepacked record and seeks in O(1); every other generator's access
+/// is packed with [`TranslationHint::compute`] under its VM's ASID.
+/// Both yield the same `(access, keys)` pair, so results do not depend
+/// on which streams were recorded.
+pub(crate) struct AccessSource {
+    /// Every stream, VM-major: `(vm, core)` is `vm * cores + core`.
+    streams: Vec<Stream>,
+    cores: usize,
+}
 
-    /// A live progress snapshot, when this source has one (the
-    /// pipelined source exposes its ring counters; the inline source
-    /// has nothing to report).
-    fn progress(&self) -> Option<PipelineProgress> {
-        None
+/// One `(VM, core)` stream with what its accesses need beside the
+/// generator, kept next to it so a pop touches one record.
+struct Stream {
+    generator: AnyGenerator,
+    /// The VM's ASID (what the hierarchy will assign; see
+    /// [`vm_asids`]).
+    asid: Asid,
+    /// Records yielded so far. A cold checkpointed warmup saves these,
+    /// and a restore [`AccessSource::skip`]s them to resume every
+    /// stream where the snapshot left it.
+    pops: u64,
+}
+
+impl AccessSource {
+    /// Takes ownership of the `[vm][core]` matrix `threads`. Staged
+    /// traces recorded under a different ASID get their packed keys
+    /// recomputed once, up front, so replay stays zero-repack per
+    /// access whatever ASID the trace was recorded for.
+    fn new(threads: Vec<Vec<AnyGenerator>>, asids: &[Asid]) -> Self {
+        let cores = threads.first().map_or(0, Vec::len);
+        let streams = threads
+            .into_iter()
+            .zip(asids)
+            .flat_map(|(row, &asid)| {
+                row.into_iter().map(move |mut generator| {
+                    if let AnyGenerator::Trace(t) = &mut generator {
+                        if t.is_staged() {
+                            t.restage(asid);
+                        }
+                    }
+                    Stream {
+                        generator,
+                        asid,
+                        pops: 0,
+                    }
+                })
+            })
+            .collect();
+        Self { streams, cores }
+    }
+
+    /// The next access of `(core, vm)`'s stream with its packed TLB
+    /// keys.
+    #[inline]
+    pub(crate) fn next(&mut self, core: usize, vm: usize) -> (MemAccess, TranslationHint) {
+        let s = &mut self.streams[vm * self.cores + core];
+        s.pops += 1;
+        match &mut s.generator {
+            AnyGenerator::Trace(t) if t.is_staged() => t.next_staged(),
+            g => {
+                let acc = g.next_access();
+                (acc, TranslationHint::compute(acc.vaddr, s.asid))
+            }
+        }
     }
 
     /// Advances `(core, vm)`'s stream by `n` accesses without
-    /// committing them. Checkpoint restore uses this to fast-forward
-    /// every stream past the warmup prefix a restored hierarchy
-    /// already consumed, keeping the measured phase's records
-    /// bit-identical to a straight-through run. The default pops and
-    /// discards (generators regenerate the prefix deterministically);
-    /// sources with a random-access cursor override with an O(1) seek.
+    /// committing them, keeping the measured phase after a checkpoint
+    /// restore bit-identical to a straight-through run. Traces seek
+    /// their cursor in O(1); generators regenerate the prefix
+    /// deterministically (the keys are a pure function of the access,
+    /// so they are not packed).
     fn skip(&mut self, core: usize, vm: usize, n: u64) {
-        for _ in 0..n {
-            let _ = self.next(core, vm);
-        }
-    }
-}
-
-/// Wraps a source during a cold checkpointed warmup to count how many
-/// records each `(vm, core)` stream yielded — exactly what a restore
-/// must later [`AccessSource::skip`] to resume the streams where the
-/// snapshot left them.
-struct CountingSource<'a, S: AccessSource> {
-    inner: &'a mut S,
-    /// Pop counts, `[vm][core]`.
-    pops: Vec<Vec<u64>>,
-}
-
-impl<S: AccessSource> AccessSource for CountingSource<'_, S> {
-    #[inline]
-    fn next(&mut self, core: usize, vm: usize) -> StagedAccess {
-        self.pops[vm][core] += 1;
-        self.inner.next(core, vm)
-    }
-
-    fn progress(&self) -> Option<PipelineProgress> {
-        self.inner.progress()
-    }
-}
-
-/// Single-threaded source: drives the generators at commit time, on the
-/// commit thread (the classic execution mode).
-struct InlineSource {
-    /// Generator matrix, `[vm][core]`.
-    threads: Vec<Vec<AnyGenerator>>,
-    /// ASID per VM (what the hierarchy will assign; see [`vm_asids`]).
-    asids: Vec<Asid>,
-}
-
-impl AccessSource for InlineSource {
-    #[inline]
-    fn next(&mut self, core: usize, vm: usize) -> StagedAccess {
-        StagedAccess::stage(self.threads[vm][core].next_access(), self.asids[vm])
-    }
-}
-
-/// Pipelined source: pops records that producer threads staged ahead of
-/// time (see `csalt-pipeline`). Holds the thread-budget reservation for
-/// its producers for the lifetime of the run.
-struct PipelinedSource {
-    streams: StagedStreams,
-    _reserved: Reservation<'static>,
-}
-
-impl AccessSource for PipelinedSource {
-    #[inline]
-    fn next(&mut self, core: usize, vm: usize) -> StagedAccess {
-        self.streams.next(core, vm)
-    }
-
-    fn progress(&self) -> Option<PipelineProgress> {
-        Some(self.streams.progress())
-    }
-}
-
-/// Zero-repack replay source: pops prepacked records straight out of
-/// staged (v2) traces. The fixed-width trace record *is* the staged
-/// payload, so `next` is a copy — no key packing, no generator math.
-struct StagedReplaySource {
-    /// Trace matrix, `[vm][core]`, every trace staged for its VM's ASID.
-    threads: Vec<Vec<csalt_workloads::TraceFile>>,
-}
-
-impl AccessSource for StagedReplaySource {
-    #[inline]
-    fn next(&mut self, core: usize, vm: usize) -> StagedAccess {
-        let (acc, hint) = self.threads[vm][core].next_staged();
-        StagedAccess { acc, hint }
-    }
-
-    fn skip(&mut self, core: usize, vm: usize, n: u64) {
-        self.threads[vm][core].skip(n);
-    }
-}
-
-/// How the caller asked the engine to execute (the `CSALT_PIPELINE`
-/// env var / `--pipeline` CLI flag).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineRequest {
-    /// Classic single-threaded execution (the default).
-    Off,
-    /// Pipeline if it plausibly helps: falls back to inline when the
-    /// host has no spare parallelism (budgeted against sweep workers —
-    /// no oversubscription) or the workload replays a recorded trace.
-    Auto,
-    /// Pipeline with at least one producer even on a saturated host
-    /// (CI determinism gates use this so the pipelined commit path is
-    /// genuinely exercised on small machines). Trace-replay workloads
-    /// still fall back: there is no generation work to overlap.
-    Force,
-}
-
-impl PipelineRequest {
-    /// Parses a `CSALT_PIPELINE` value. Unset/empty/`0`/`off`/`false`
-    /// mean [`PipelineRequest::Off`]; `force` forces; anything truthy
-    /// (`1`, `on`, `true`, `auto`) is [`PipelineRequest::Auto`].
-    #[must_use]
-    pub fn parse(value: Option<&str>) -> Self {
-        match value.map(str::to_ascii_lowercase).as_deref() {
-            None | Some("" | "0" | "off" | "false" | "inline") => PipelineRequest::Off,
-            Some("force") => PipelineRequest::Force,
-            Some(_) => PipelineRequest::Auto,
+        match &mut self.streams[vm * self.cores + core].generator {
+            AnyGenerator::Trace(t) => t.skip(n),
+            g => {
+                for _ in 0..n {
+                    g.next_access();
+                }
+            }
         }
     }
 
-    /// The request selected by the `CSALT_PIPELINE` environment
-    /// variable.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("CSALT_PIPELINE").ok().as_deref())
+    /// Records each stream has yielded so far, `[vm][core]`.
+    fn pops(&self) -> Vec<Vec<u64>> {
+        self.streams
+            .chunks(self.cores)
+            .map(|row| row.iter().map(|s| s.pops).collect())
+            .collect()
     }
 }
 
@@ -513,131 +459,6 @@ fn vm_asids(vms: u32) -> Vec<Asid> {
     (0..vms).map(|vm| Asid::new(vm as u16 + 1)).collect()
 }
 
-/// Execution plan for one run, decided before any thread is spawned.
-enum ExecPlan {
-    Inline,
-    /// Every generator is a staged (v2) trace replay: pop prepacked
-    /// records directly, no packing and no producer threads.
-    StagedReplay,
-    /// Producer thread count plus the budget reservation backing it.
-    Pipelined(usize, Reservation<'static>),
-}
-
-/// Decides inline vs pipelined for one run. See [`PipelineRequest`] for
-/// the fallback rules; producer threads are reserved from the workspace
-/// [`ThreadBudget`] so a sweep's workers and this run's producers never
-/// add up past the host's parallelism (unless forced).
-fn plan_execution(
-    cfg: &SimConfig,
-    threads: &[Vec<AnyGenerator>],
-    req: PipelineRequest,
-) -> ExecPlan {
-    // A matrix of staged (v2) traces replays prepacked records directly
-    // regardless of the pipeline request: the records already are the
-    // staged payload, so there is nothing for producers to do and the
-    // single-threaded pop is the fastest path. Bit-identical to inline.
-    let asids = vm_asids(cfg.system.contexts_per_core);
-    if threads
-        .iter()
-        .enumerate()
-        .all(|(vm, row)| !row.is_empty() && row.iter().all(|g| g.is_staged_replay(asids[vm])))
-    {
-        return ExecPlan::StagedReplay;
-    }
-    if req == PipelineRequest::Off {
-        return ExecPlan::Inline;
-    }
-    // Replay workloads stream records out of memory; there is no
-    // generation work worth moving to another thread.
-    if threads.iter().flatten().any(AnyGenerator::is_replay) {
-        return ExecPlan::Inline;
-    }
-    let budget = ThreadBudget::global();
-    let cores = cfg.system.cores as usize;
-    // Leave one hardware thread for the commit stage itself.
-    let want = cores.min(budget.capacity().saturating_sub(1)).max(1);
-    let reserved = match req {
-        PipelineRequest::Auto => {
-            if budget.capacity() < 2 {
-                return ExecPlan::Inline;
-            }
-            let r = budget.reserve(want);
-            if r.granted() == 0 {
-                return ExecPlan::Inline;
-            }
-            r
-        }
-        _ => budget.reserve_at_least(want, 1),
-    };
-    let producers = reserved.granted();
-    ExecPlan::Pipelined(producers, reserved)
-}
-
-/// Shared dispatch behind every public entry point: plans the execution
-/// mode, builds the matching [`AccessSource`], runs the engine, and
-/// returns the pipeline telemetry when the pipelined path ran.
-fn execute<H: PhaseHooks>(
-    cfg: &SimConfig,
-    mut threads: Vec<Vec<AnyGenerator>>,
-    req: PipelineRequest,
-    hooks: &mut H,
-) -> (SimResult, Option<PipelineStats>) {
-    // Staged traces recorded under a different ASID get their packed
-    // keys recomputed once, up front, so replay stays zero-repack per
-    // access no matter which ASID the trace was recorded for.
-    let asids = vm_asids(cfg.system.contexts_per_core);
-    for (vm, row) in threads.iter_mut().enumerate() {
-        for g in row.iter_mut() {
-            if let Some(t) = g.as_trace_mut() {
-                if t.is_staged() {
-                    t.restage(asids[vm]);
-                }
-            }
-        }
-    }
-    match plan_execution(cfg, &threads, req) {
-        ExecPlan::Inline => {
-            let mut source = InlineSource {
-                asids: vm_asids(cfg.system.contexts_per_core),
-                threads,
-            };
-            (simulate(cfg, hooks, &mut source), None)
-        }
-        ExecPlan::StagedReplay => {
-            let trace_threads = threads
-                .into_iter()
-                .map(|row| {
-                    row.into_iter()
-                        .map(|g| match g {
-                            AnyGenerator::Trace(t) => t,
-                            _ => unreachable!("plan checked every generator is a staged trace"),
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut source = StagedReplaySource {
-                threads: trace_threads,
-            };
-            (simulate(cfg, hooks, &mut source), None)
-        }
-        ExecPlan::Pipelined(producers, reserved) => {
-            let asids = vm_asids(cfg.system.contexts_per_core);
-            let mut source = PipelinedSource {
-                streams: StagedStreams::spawn(
-                    threads,
-                    &asids,
-                    producers,
-                    csalt_pipeline::source::DEFAULT_RING_CAPACITY,
-                ),
-                _reserved: reserved,
-            };
-            let result = simulate(cfg, hooks, &mut source);
-            let stats = source.streams.finish();
-            (result, Some(stats))
-        }
-    }
-}
-
 /// Panics with every diagnostic if any is error-severity. Warnings are
 /// swallowed: the run is still meaningful, and the static sweep reports
 /// them separately.
@@ -653,66 +474,21 @@ fn enforce_audit(context: &str, diags: &[csalt_audit::Diagnostic]) {
     }
 }
 
-/// Runs one configuration to completion, in the execution mode selected
-/// by the `CSALT_PIPELINE` environment variable (inline when unset; see
-/// [`PipelineRequest`]). Both modes produce bit-identical results.
+/// Runs one configuration to completion.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid (zero cores, bad geometry…).
 pub fn run(cfg: &SimConfig) -> SimResult {
-    run_with_stats(cfg).0
-}
-
-/// [`run`] plus the pipeline telemetry of the run (`None` when the
-/// inline path executed).
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (zero cores, bad geometry…).
-pub fn run_with_stats(cfg: &SimConfig) -> (SimResult, Option<PipelineStats>) {
-    execute(
-        cfg,
-        build_threads(cfg),
-        PipelineRequest::from_env(),
-        &mut NoHooks,
-    )
-}
-
-/// Runs one configuration strictly single-threaded, ignoring
-/// `CSALT_PIPELINE` — the reference the pipelined mode is bit-compared
-/// against (and the measurement baseline of the throughput bench).
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (zero cores, bad geometry…).
-pub fn run_inline(cfg: &SimConfig) -> SimResult {
-    execute(cfg, build_threads(cfg), PipelineRequest::Off, &mut NoHooks).0
-}
-
-/// Runs one configuration in the pipelined mode regardless of host
-/// parallelism ([`PipelineRequest::Force`] semantics: at least one
-/// producer thread, even on a saturated budget).
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (zero cores, bad geometry…).
-pub fn run_pipelined(cfg: &SimConfig) -> (SimResult, PipelineStats) {
-    let (result, stats) = execute(
-        cfg,
-        build_threads(cfg),
-        PipelineRequest::Force,
-        &mut NoHooks,
-    );
-    let stats = stats.expect("forced pipeline always runs pipelined for generated workloads");
-    (result, stats)
+    simulate(cfg, build_threads(cfg), checkpoint::plan(cfg), &mut NoHooks)
 }
 
 /// Runs one configuration over caller-supplied generators instead of
 /// the ones `cfg.workload` would build — the entry point for recorded-
 /// trace replay (`AnyGenerator::Trace`). `threads[vm][core]` must match
-/// the config's VM and core counts. Honours `CSALT_PIPELINE`, except
-/// that workloads containing a replay generator always run inline.
+/// the config's VM and core counts. Staged (v2) traces and generators
+/// may be mixed freely: each stream picks its own path (see
+/// [`AccessSource`]).
 ///
 /// # Panics
 ///
@@ -730,7 +506,7 @@ pub fn run_with_generators(cfg: &SimConfig, threads: Vec<Vec<AnyGenerator>>) -> 
             .all(|row| row.len() == cfg.system.cores as usize),
         "one generator per core in every VM row"
     );
-    execute(cfg, threads, PipelineRequest::from_env(), &mut NoHooks).0
+    simulate(cfg, threads, checkpoint::plan(cfg), &mut NoHooks)
 }
 
 /// One timed scheduling phase: run every core up to `total_per_core`
@@ -744,10 +520,10 @@ pub fn run_with_generators(cfg: &SimConfig, threads: Vec<Vec<AnyGenerator>>) -> 
 /// (counters at zero) behaves exactly like the historical
 /// single-window code.
 #[allow(clippy::too_many_arguments)]
-fn timed_phase<H: PhaseHooks, S: AccessSource>(
+fn timed_phase<H: PhaseHooks>(
     cfg: &SimConfig,
     vm_ctx: &[ContextId],
-    source: &mut S,
+    source: &mut AccessSource,
     hier: &mut MemoryHierarchy,
     cores_state: &mut [CoreState],
     mut occupancy: Option<&mut Vec<OccupancySample>>,
@@ -815,15 +591,15 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
             }
 
             let vm = state.current_vm as usize;
-            let staged = source.next(core, vm);
+            let (acc, hint) = source.next(core, vm);
             let traced = hooks
                 .as_deref_mut()
                 .is_some_and(|h| h.wants_trace(total_done + block.len() as u64));
             block.push(BlockAccess {
                 core: CoreId::new(core as u8),
                 ctx: vm_ctx[vm],
-                acc: staged.acc,
-                hint: staged.hint,
+                acc,
+                hint,
             });
             block_meta.push((core, vm, traced));
         }
@@ -890,13 +666,7 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
         }
 
         if let Some(h) = hooks.as_deref_mut() {
-            h.after_sweep(
-                hier,
-                cores_state,
-                total_done,
-                target_total,
-                source.progress(),
-            );
+            h.after_sweep(hier, cores_state, total_done, target_total);
         }
 
         #[cfg(feature = "audit")]
@@ -938,18 +708,17 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
 
 /// One warmup pass in the config's warmup mode: timed (full cycle
 /// accounting, counters discarded after) or functional (state-only
-/// fast-forward). Factored out of [`simulate`] so the checkpointed
-/// cold path can run it through a [`CountingSource`] wrapper.
-fn warmup_phase<H: PhaseHooks, S: AccessSource>(
+/// fast-forward).
+fn warmup_phase<H: PhaseHooks>(
     cfg: &SimConfig,
     vm_ctx: &[ContextId],
-    source: &mut S,
+    source: &mut AccessSource,
     hier: &mut MemoryHierarchy,
     cores_state: &mut [CoreState],
     sched: &FunctionalSchedule,
 ) {
     match cfg.warmup_mode {
-        WarmupMode::Timed => timed_phase::<H, S>(
+        WarmupMode::Timed => timed_phase::<H>(
             cfg,
             vm_ctx,
             source,
@@ -970,12 +739,15 @@ fn warmup_phase<H: PhaseHooks, S: AccessSource>(
     }
 }
 
-/// The engine shared by [`run`] and the instrumented path, monomorphized
-/// over the hook set and the access source (inline vs pipelined).
-fn simulate<H: PhaseHooks, S: AccessSource>(
+/// The engine shared by every entry point, monomorphized over the hook
+/// set. `threads` is the run's `[vm][core]` generator matrix;
+/// `ckpt_plan` is where its post-warmup checkpoint lives (`None`: this
+/// run neither saves nor restores one).
+fn simulate<H: PhaseHooks>(
     cfg: &SimConfig,
+    threads: Vec<Vec<AnyGenerator>>,
+    ckpt_plan: Option<CkptPlan>,
     hooks: &mut H,
-    source: &mut S,
 ) -> SimResult {
     let system = &cfg.system;
     system.validate().expect("system config must be valid");
@@ -1005,11 +777,14 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
     // One hierarchy context (address space) per VM; the generators (one
     // per (VM, core) — the VM's per-core thread) live behind `source`.
     let vm_ctx: Vec<ContextId> = (0..vms).map(|_| hier.add_context()).collect();
-    // The staged records' packed keys assume this ASID assignment.
+    // The packed keys the source hands out assume this ASID assignment.
+    let asids = vm_asids(vms);
     debug_assert!(vm_ctx
         .iter()
-        .zip(vm_asids(vms))
-        .all(|(ctx, asid)| hier.asid_of(*ctx) == asid));
+        .zip(&asids)
+        .all(|(ctx, asid)| hier.asid_of(*ctx) == *asid));
+    let mut source = AccessSource::new(threads, &asids);
+    let source = &mut source;
 
     let quantum = system.cs_interval_cycles;
     let mut cores_state: Vec<CoreState> = (0..cores)
@@ -1047,8 +822,7 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
     // streams past the recorded pop counts, and enters the measured
     // phase directly — bit-identical to the straight-through run,
     // which `tests/determinism.rs` pins.
-    let ckpt_plan = crate::checkpoint::plan(cfg);
-    crate::checkpoint::set_last_run_restored(false);
+    checkpoint::set_last_run_restored(false);
     let mut restored = false;
     if let Some(plan) = &ckpt_plan {
         match plan.try_restore(&mut hier, cores, vms as usize) {
@@ -1067,7 +841,7 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
                     }
                 }
                 restored = true;
-                crate::checkpoint::set_last_run_restored(true);
+                checkpoint::set_last_run_restored(true);
             }
             Ok(None) => {}
             Err(_) => {
@@ -1091,24 +865,7 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
         }
     }
     if !restored {
-        let pops = if ckpt_plan.is_some() {
-            let mut counting = CountingSource {
-                inner: source,
-                pops: vec![vec![0; cores]; vms as usize],
-            };
-            warmup_phase::<H, _>(
-                cfg,
-                &vm_ctx,
-                &mut counting,
-                &mut hier,
-                &mut cores_state,
-                &sched,
-            );
-            Some(counting.pops)
-        } else {
-            warmup_phase::<H, S>(cfg, &vm_ctx, source, &mut hier, &mut cores_state, &sched);
-            None
-        };
+        warmup_phase::<H>(cfg, &vm_ctx, source, &mut hier, &mut cores_state, &sched);
         hier.reset_stats();
         for s in &mut cores_state {
             s.cycles = 0;
@@ -1119,10 +876,10 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
         }
         // Snapshot *after* the reset so a restore reproduces exactly
         // this state: zeroed counters, fresh schedule, carried VMs.
-        if let (Some(plan), Some(pops)) = (&ckpt_plan, pops) {
-            let meta = crate::checkpoint::HierarchyCheckpoint {
+        if let Some(plan) = &ckpt_plan {
+            let meta = checkpoint::HierarchyCheckpoint {
                 current_vms: cores_state.iter().map(|s| s.current_vm).collect(),
-                pops,
+                pops: source.pops(),
             };
             plan.save(&hier, &meta);
         }
@@ -1274,27 +1031,12 @@ pub struct Instrumentation<'a> {
 /// Panics if the configuration is invalid (zero cores, bad geometry…).
 #[cfg(feature = "telemetry")]
 pub fn run_instrumented(cfg: &SimConfig, inst: &mut Instrumentation<'_>) -> SimResult {
-    run_instrumented_with_stats(cfg, inst).0
-}
-
-/// [`run_instrumented`] plus the pipeline telemetry of the run (`None`
-/// when the inline path executed) — what `csalt-experiments run` prints
-/// its stats line from.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (zero cores, bad geometry…).
-#[cfg(feature = "telemetry")]
-pub fn run_instrumented_with_stats(
-    cfg: &SimConfig,
-    inst: &mut Instrumentation<'_>,
-) -> (SimResult, Option<PipelineStats>) {
     // A disabled recorder (e.g. `NullRecorder`) drops everything, so
     // skip the hook bookkeeping entirely and take the same monomorphized
     // no-op path as `run` — this is what keeps a telemetry-capable build
     // free when telemetry is not requested.
     if !inst.recorder.is_enabled() && inst.progress_every_epochs == 0 && inst.trace.is_none() {
-        return run_with_stats(cfg);
+        return run(cfg);
     }
     let cores = cfg.system.cores as usize;
     let wall_start = if let Some(t) = inst.trace.as_deref_mut() {
@@ -1341,52 +1083,9 @@ pub fn run_instrumented_with_stats(
         l2_decisions_seen: 0,
         l3_decisions_seen: 0,
         last_commit_wall: wall_start.unwrap_or(0),
-        last_progress: PipelineProgress::default(),
         last_l0: csalt_types::L0Stats::default(),
     };
-    let (result, pipeline) = execute(
-        cfg,
-        build_threads(cfg),
-        PipelineRequest::from_env(),
-        &mut hooks,
-    );
-    if let Some(p) = &pipeline {
-        // The rings' stall/occupancy gauges land in the stream's final
-        // Instruments record (see csalt-telemetry's `pipeline_metrics`).
-        use csalt_telemetry::pipeline_metrics as m;
-        let rec = &mut *hooks.inst.recorder;
-        rec.counter(m::RECORDS_STAGED, p.records_staged);
-        rec.counter(m::RECORDS_COMMITTED, p.records_committed);
-        rec.counter(m::PRODUCER_STALLS, p.producer_stalls);
-        rec.counter(m::CONSUMER_STALLS, p.consumer_stalls);
-        rec.counter(m::BLOCK_DRAINS, p.block_drains);
-        rec.counter(m::BLOCK_DRAINED_RECORDS, p.block_drained_records);
-        rec.gauge(m::PRODUCERS, p.producers as f64);
-        rec.gauge(m::RING_CAPACITY, p.ring_capacity as f64);
-        rec.gauge(m::MEAN_RING_OCCUPANCY, p.mean_occupancy());
-        rec.gauge(m::MEAN_DRAIN_BLOCK, p.mean_drain_block());
-        // One wall-domain span per producer thread: the session the
-        // thread spent staging records, with its totals attached.
-        if let Some(t) = hooks.inst.trace.as_deref_mut() {
-            let end = csalt_trace::timing::wall_micros();
-            let start = wall_start.unwrap_or(end);
-            for (i, perf) in p.per_producer.iter().enumerate() {
-                let tid = 1 + i as u32;
-                t.set_track_name(Domain::Wall, tid, format!("producer {i}"));
-                t.begin_args(
-                    Domain::Wall,
-                    tid,
-                    start,
-                    "produce",
-                    vec![
-                        ("staged", ArgValue::U64(perf.staged)),
-                        ("stalls", ArgValue::U64(perf.stalls)),
-                    ],
-                );
-                t.end(Domain::Wall, tid, end, "produce");
-            }
-        }
-    }
+    let result = simulate(cfg, build_threads(cfg), checkpoint::plan(cfg), &mut hooks);
     {
         // The L0 memo counters ride the same end-of-stream instruments
         // record. `last_l0` is the final epoch's reading, i.e. the
@@ -1398,7 +1097,7 @@ pub fn run_instrumented_with_stats(
         rec.counter(l0m::INVALIDATIONS, l0.invalidations);
     }
     hooks.finish();
-    (result, pipeline)
+    result
 }
 
 /// The live hook set behind [`run_instrumented`].
@@ -1429,7 +1128,6 @@ struct LiveHooks<'a, 'b> {
     l3_decisions_seen: u64,
     /// Wall timestamp where the current commit span began.
     last_commit_wall: u64,
-    last_progress: PipelineProgress,
     /// Hierarchy-wide L0 memo counters as of the last emitted epoch,
     /// so the end-of-run instruments can report them after the
     /// hierarchy is gone.
@@ -1462,14 +1160,8 @@ impl LiveHooks<'_, '_> {
     /// epoch span on the partitioner track, one `repartition` instant
     /// per partitioned cache (with the fresh decision's utility and
     /// marginal-utility curve when the partitioner acted this epoch),
-    /// and the wall-domain commit span with ring-stall markers.
-    fn trace_epoch(
-        &mut self,
-        hier: &MemoryHierarchy,
-        cores: &[CoreState],
-        total: u64,
-        progress: Option<PipelineProgress>,
-    ) {
+    /// and the wall-domain commit span.
+    fn trace_epoch(&mut self, hier: &MemoryHierarchy, cores: &[CoreState], total: u64) {
         let ts = cores
             .iter()
             .map(|c| c.cycles)
@@ -1548,64 +1240,26 @@ impl LiveHooks<'_, '_> {
         );
 
         // Wall domain: the commit stage's slice of real time spent on
-        // this epoch, with ring stalls flagged when the pipeline ran.
+        // this epoch.
         let now = csalt_trace::timing::wall_micros().max(self.last_commit_wall);
-        let mut args = vec![
-            ("epoch", ArgValue::U64(epoch)),
-            ("accesses", ArgValue::U64(accesses)),
-        ];
-        if let Some(p) = progress {
-            args.push((
-                "staged",
-                ArgValue::U64(
-                    p.records_staged
-                        .saturating_sub(self.last_progress.records_staged),
-                ),
-            ));
-            args.push((
-                "committed",
-                ArgValue::U64(
-                    p.records_committed
-                        .saturating_sub(self.last_progress.records_committed),
-                ),
-            ));
-        }
-        t.begin_args(Domain::Wall, 0, self.last_commit_wall, "commit", args);
+        t.begin_args(
+            Domain::Wall,
+            0,
+            self.last_commit_wall,
+            "commit",
+            vec![
+                ("epoch", ArgValue::U64(epoch)),
+                ("accesses", ArgValue::U64(accesses)),
+            ],
+        );
         t.end(Domain::Wall, 0, now, "commit");
-        if let Some(p) = progress {
-            let producer_stalls = p
-                .producer_stalls
-                .saturating_sub(self.last_progress.producer_stalls);
-            let consumer_stalls = p
-                .consumer_stalls
-                .saturating_sub(self.last_progress.consumer_stalls);
-            if producer_stalls > 0 || consumer_stalls > 0 {
-                t.instant(
-                    Domain::Wall,
-                    0,
-                    now,
-                    "ring_stall",
-                    vec![
-                        ("producer_stalls", ArgValue::U64(producer_stalls)),
-                        ("consumer_stalls", ArgValue::U64(consumer_stalls)),
-                    ],
-                );
-            }
-            self.last_progress = p;
-        }
         self.last_commit_wall = now;
     }
 
     /// Emits the epoch record covering `(last emission, total]`.
-    fn emit_epoch(
-        &mut self,
-        hier: &MemoryHierarchy,
-        cores: &[CoreState],
-        total: u64,
-        progress: Option<PipelineProgress>,
-    ) {
+    fn emit_epoch(&mut self, hier: &MemoryHierarchy, cores: &[CoreState], total: u64) {
         if self.inst.trace.is_some() {
-            self.trace_epoch(hier, cores, total, progress);
+            self.trace_epoch(hier, cores, total);
         }
         self.last_l0 = hier.l0_stats();
         let snap = hier.snapshot();
@@ -1802,25 +1456,18 @@ impl PhaseHooks for LiveHooks<'_, '_> {
         cores: &[CoreState],
         total: u64,
         target: u64,
-        progress: Option<PipelineProgress>,
     ) {
         while total >= self.next_epoch_at {
             self.next_epoch_at += self.epoch_len;
-            self.emit_epoch(hier, cores, total, progress);
+            self.emit_epoch(hier, cores, total);
             if self.inst.progress_every_epochs > 0
                 && self.epoch.is_multiple_of(self.inst.progress_every_epochs)
             {
                 let (l2_ways, l3_ways) = hier.current_partitions();
                 let ways = |w: Option<u32>| w.map_or_else(|| "-".to_owned(), |w| w.to_string());
-                let pipe = progress.map_or_else(String::new, |p| {
-                    format!(
-                        ", pipeline {}/{} staged/committed, stalls {}p/{}c",
-                        p.records_staged, p.records_committed, p.producer_stalls, p.consumer_stalls,
-                    )
-                });
                 let l0 = self.last_l0;
                 eprintln!(
-                    "[csalt] {} / {}: epoch {}, {total} of {target} accesses retired ({} remaining), data ways l2/l3 {}/{}, l0 memo {} hits / {} inv{}",
+                    "[csalt] {} / {}: epoch {}, {total} of {target} accesses retired ({} remaining), data ways l2/l3 {}/{}, l0 memo {} hits / {} inv",
                     self.workload,
                     self.scheme,
                     self.epoch,
@@ -1829,14 +1476,13 @@ impl PhaseHooks for LiveHooks<'_, '_> {
                     ways(l3_ways),
                     l0.hits,
                     l0.invalidations,
-                    pipe,
                 );
             }
         }
         // The final (usually partial) epoch: emitted exactly once, when
         // the phase target is reached, so delta sums equal run totals.
         if total >= target && total > self.last_emit_total {
-            self.emit_epoch(hier, cores, total, progress);
+            self.emit_epoch(hier, cores, total);
         }
     }
 }
@@ -1844,7 +1490,7 @@ impl PhaseHooks for LiveHooks<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csalt_workloads::{BenchKind, WorkloadSpec};
+    use csalt_workloads::{BenchKind, TraceFile, WorkloadSpec};
 
     fn quick(scheme: TranslationScheme) -> SimConfig {
         let mut cfg = SimConfig::new(WorkloadSpec::homogeneous("gups", BenchKind::Gups), scheme);
@@ -1948,48 +1594,56 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_run_matches_inline_bit_for_bit() {
+    fn mixed_staged_and_generated_streams_match_the_generated_run() {
+        // Half the streams replay staged v2 traces recorded from the
+        // very generators they replace (keys packed under a foreign
+        // ASID, so the run must restage them); the other half keep
+        // generating. Every stream yields the same records either way,
+        // so the result must equal the all-generated run's — straight
+        // through, and after a checkpoint restore that skips each
+        // stream past the warmup prefix (an O(1) seek on the traces).
         let mut cfg = quick(TranslationScheme::CsaltCd);
         cfg.accesses_per_core = 5_000;
         cfg.warmup_accesses_per_core = 2_000;
-        let inline = run_inline(&cfg);
-        let (pipelined, stats) = run_pipelined(&cfg);
-        assert_eq!(
-            serde_json::to_string(&inline).expect("serialize"),
-            serde_json::to_string(&pipelined).expect("serialize"),
-        );
-        assert!(stats.producers >= 1);
-        assert_eq!(
-            stats.records_committed,
-            (cfg.accesses_per_core + cfg.warmup_accesses_per_core) * u64::from(cfg.system.cores)
-        );
-        assert!(stats.records_staged >= stats.records_committed);
-    }
+        assert!(cfg.system.contexts_per_core >= 2, "both VMs mix kinds");
+        let json = |r: &SimResult| serde_json::to_string(r).expect("serialize");
+        let generated = json(&simulate(&cfg, build_threads(&cfg), None, &mut NoHooks));
 
-    #[test]
-    fn pipeline_request_parses_every_spelling() {
-        use PipelineRequest::{Auto, Force, Off};
-        for off in [
-            None,
-            Some(""),
-            Some("0"),
-            Some("off"),
-            Some("false"),
-            Some("inline"),
-        ] {
-            assert_eq!(PipelineRequest::parse(off), Off, "{off:?}");
-        }
-        for auto in [
-            Some("1"),
-            Some("auto"),
-            Some("on"),
-            Some("true"),
-            Some("yes"),
-        ] {
-            assert_eq!(PipelineRequest::parse(auto), Auto, "{auto:?}");
-        }
-        assert_eq!(PipelineRequest::parse(Some("force")), Force);
-        assert_eq!(PipelineRequest::parse(Some("FORCE")), Force);
+        let dir = std::env::temp_dir().join(format!("csalt-mixed-streams-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let len = cfg.warmup_accesses_per_core + cfg.accesses_per_core;
+        let mixed = || -> Vec<Vec<AnyGenerator>> {
+            let mut threads = build_threads(&cfg);
+            for (vm, row) in threads.iter_mut().enumerate() {
+                for (core, g) in row.iter_mut().enumerate() {
+                    if (vm + core) % 2 == 1 {
+                        continue;
+                    }
+                    let path = dir.join(format!("s{vm}-{core}.trace"));
+                    TraceFile::record_v2(&path, g, len, Asid::new(60)).expect("record");
+                    let t = TraceFile::open(&path).expect("reopen");
+                    assert!(t.version() == 2 && t.is_staged_for(Asid::new(60)));
+                    *g = AnyGenerator::Trace(t);
+                }
+            }
+            threads
+        };
+        let straight = simulate(&cfg, mixed(), None, &mut NoHooks);
+        assert_eq!(json(&straight), generated, "mixed matrix, straight through");
+
+        let plan = || Some(CkptPlan::in_dir(&dir, &cfg));
+        let cold = simulate(&cfg, mixed(), plan(), &mut NoHooks);
+        assert!(!checkpoint::last_run_restored(), "first run warms up cold");
+        assert_eq!(json(&cold), generated, "mixed matrix, checkpoint saved");
+        let restored = simulate(&cfg, mixed(), plan(), &mut NoHooks);
+        assert!(checkpoint::last_run_restored(), "second run restores");
+        assert_eq!(
+            json(&restored),
+            generated,
+            "mixed matrix, checkpoint restored"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2015,47 +1669,13 @@ mod tests {
         cfg.accesses_per_core = 5_000;
         cfg.warmup_accesses_per_core = 2_000;
         std::env::set_var("CSALT_L0", "off");
-        let off = run_inline(&cfg);
+        let off = run(&cfg);
         std::env::set_var("CSALT_L0", "on");
-        let on = run_inline(&cfg);
+        let on = run(&cfg);
         std::env::remove_var("CSALT_L0");
         assert_eq!(
             serde_json::to_string(&off).expect("serialize"),
             serde_json::to_string(&on).expect("serialize"),
         );
-    }
-
-    #[test]
-    fn replay_workloads_fall_back_to_inline() {
-        // A generator matrix containing a recorded-trace replay must
-        // plan inline even under Force: replay generators are not
-        // guaranteed Send, and the trace is consumed where it lives.
-        let cfg = quick(TranslationScheme::PomTlb);
-        let threads = build_threads(&cfg);
-        assert!(matches!(
-            plan_execution(&cfg, &threads, PipelineRequest::Force),
-            ExecPlan::Pipelined(..)
-        ));
-
-        let mut record = Vec::new();
-        let mut replay_threads = build_threads(&cfg);
-        for _ in 0..(cfg.accesses_per_core + cfg.warmup_accesses_per_core) {
-            record.push(replay_threads[0][0].next_access());
-        }
-        let replayed: Vec<Vec<AnyGenerator>> = (0..cfg.system.contexts_per_core)
-            .map(|_| {
-                (0..cfg.system.cores)
-                    .map(|_| {
-                        AnyGenerator::Trace(csalt_workloads::TraceFile::from_records(
-                            record.clone(),
-                        ))
-                    })
-                    .collect()
-            })
-            .collect();
-        assert!(matches!(
-            plan_execution(&cfg, &replayed, PipelineRequest::Force),
-            ExecPlan::Inline
-        ));
     }
 }

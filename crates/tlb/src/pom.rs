@@ -168,8 +168,9 @@ impl PomTlb {
         self.lookup_prepacked(pack(&TlbKey { page, asid }))
     }
 
-    /// [`PomTlb::lookup`] with the key already packed (the pipeline's
-    /// producer stage precomputes keys; see [`csalt_types::pack_tlb_key`]).
+    /// [`PomTlb::lookup`] with the key already packed (the hierarchy's
+    /// hinted entry points pass precomputed keys; see
+    /// [`csalt_types::TranslationHint`]).
     /// Identical semantics and statistics — `lookup` delegates here.
     pub fn lookup_prepacked(&mut self, packed: u64) -> PomLookup {
         // L0 fast path: the memoized entry sits at way 0, so the hit

@@ -196,35 +196,6 @@ pub enum AnyGenerator {
     Trace(TraceFile),
 }
 
-impl AnyGenerator {
-    /// Whether this generator replays a recorded trace rather than
-    /// synthesizing one. Replay streams are read from memory with no
-    /// sampling work to overlap, so the pipelined execution mode falls
-    /// back to inline for workloads containing one (see
-    /// `csalt-sim::run_with_generators`).
-    #[must_use]
-    pub fn is_replay(&self) -> bool {
-        matches!(self, AnyGenerator::Trace(_))
-    }
-
-    /// The trace being replayed, if this generator is a replay. Lets
-    /// the engine restage packed keys for the run's ASIDs and pop
-    /// prepacked records without repacking.
-    pub fn as_trace_mut(&mut self) -> Option<&mut TraceFile> {
-        match self {
-            AnyGenerator::Trace(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Whether this generator replays a trace whose records carry
-    /// packed TLB keys for `asid` — the zero-repack staging path.
-    #[must_use]
-    pub fn is_staged_replay(&self, asid: csalt_types::Asid) -> bool {
-        matches!(self, AnyGenerator::Trace(t) if t.is_staged_for(asid))
-    }
-}
-
 impl TraceGenerator for AnyGenerator {
     #[inline]
     fn next_access(&mut self) -> MemAccess {

@@ -18,9 +18,9 @@
 //! **v2** — a 32-byte header (`magic`, `version = 2`, `record count:
 //! u64`, `asid: u16`, 14 reserved zero bytes) followed by fixed-width
 //! 32-byte records of four `u64` words: `vaddr`, `gap << 1 | is_write`,
-//! `packed_4k`, `packed_2m` — exactly the staged-access wire format the
-//! pipeline's SPSC rings carry. Replay pops records with **zero key
-//! packing**: the TLB lookup keys were precomputed at record time for
+//! `packed_4k`, `packed_2m` — the access plus its
+//! [`TranslationHint`], the pair the simulator's access source hands to
+//! the hierarchy. Replay pops records with **zero key packing**: the TLB lookup keys were precomputed at record time for
 //! the header's ASID (they are a pure function of `(vaddr, asid)`), and
 //! [`TraceFile::restage`] recomputes them in one bulk pass if a run
 //! replays under a different ASID. Records are 32-byte aligned so the
@@ -332,7 +332,8 @@ impl TraceFile {
     ///
     /// Debug builds panic if the trace is not staged; release builds
     /// would silently return empty keys, so callers must check
-    /// [`TraceFile::is_staged_for`] when planning replay.
+    /// [`TraceFile::is_staged`] first (and [`TraceFile::restage`] for
+    /// the ASID they translate under).
     #[inline]
     pub fn next_staged(&mut self) -> (MemAccess, TranslationHint) {
         debug_assert!(self.staged, "next_staged on an unstaged trace");
